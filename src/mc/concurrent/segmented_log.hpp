@@ -167,7 +167,7 @@ class SegLog {
   }
 
   // Copies the committed prefix. Only meaningful on quiesced logs (the
-  // checker copies stores in merge_snapshot and tests, never mid-round).
+  // checker copies stores into checkpoint images and tests, never mid-round).
   void copy_from(const SegLog& o) {
     std::uint64_t n = o.size();
     for (std::uint64_t i = 0; i < n; ++i) push_back(o[i]);

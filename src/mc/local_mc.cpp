@@ -79,7 +79,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   store_ = LocalStore(cfg_.num_nodes);
   net_ = MonotonicNetwork{};
   events_.clear();
-  epochs_.clear();
   internal_scan_.assign(cfg_.num_nodes, 0);
   proj_.assign(cfg_.num_nodes, {});
   mapped_.assign(cfg_.num_nodes, {});
@@ -99,9 +98,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   segment_id_ = 0;
   pipeline_dropped_ = 0;
 
-  CheckerEpoch ep;
-  ep.nodes = nodes;
-  ep.msgs = in_flight;
+  start_ = StartSnapshot{nodes, in_flight, {}};
   const bool projecting = invariant_ != nullptr && invariant_->has_projection();
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     NodeStateRec rec;
@@ -110,11 +107,10 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     LMC_PROF(opt_.profile, count(obs::Counter::kBytesHashed, rec.blob.size()));
     rec.depth = 0;
     const Hash64 root_hash = rec.hash;
-    const std::uint32_t root_idx = store_.add(n, std::move(rec));
-    ep.roots.push_back(root_idx);
+    store_.add(n, std::move(rec));  // LS_n[0]: the snapshot state
     ++stats_.node_states;
     LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
-                                     root_idx, root_hash, 0, 0.0, n)));
+                                     0, root_hash, 0, 0.0, n)));
     if (projecting) {
       Projection p = invariant_->project(cfg_, n, nodes[n]);
       if (!p.empty()) mapped_[n].push_back(0);
@@ -125,7 +121,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   // verification without any generating event.
   for (const Message& m : in_flight) {
     Hash64 h = m.hash();
-    ep.in_flight.push_back(h);
+    start_.in_flight_hashes.push_back(h);
     if (net_.add(m)) {
       EventRecord er;
       er.is_message = true;
@@ -135,10 +131,8 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
                                        h, net_.size(), 0, 0.0, m.dst)));
     }
   }
-  epochs_.push_back(std::move(ep));
   resolve_symmetry();
   resolve_por();
-  initialized_ = true;
 }
 
 // Decide whether the symmetry reduction is active for this run and build
@@ -177,8 +171,8 @@ void LocalModelChecker::resolve_symmetry() {
   canon_ = std::make_unique<symmetry::Canonicalizer>(std::move(kept), cfg_.num_nodes);
   sym_stats_.active = 1;
   sym_stats_.classes = static_cast<std::uint32_t>(canon_->classes().size());
-  // Seed the universes from whatever the store already holds: the epoch
-  // roots on a fresh run, the full store on checkpoint load.
+  // Seed the universes from whatever the store already holds: the snapshot
+  // states on a fresh run, the full store on checkpoint load.
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     const std::uint32_t cnt = store_.size(n);
     for (std::uint32_t i = 0; i < cnt; ++i) {
@@ -224,119 +218,6 @@ void LocalModelChecker::resolve_por() {
   LMC_TRACE(opt_.trace, record(tev(EventType::kPorResolve, obs::Phase::kRun, cur_round_,
                                    por_stats_.relation_pairs, por_rel_->digest(),
                                    res.unclassifiable)));
-}
-
-// Warm start: fold a new live snapshot into the existing stores. Snapshot
-// states already in LS_n contribute nothing new (the common case when the
-// live system idles); fresh ones become depth-0 roots with no predecessors
-// and empty history — exactly how init_run seeds epoch 0. In-flight
-// messages pass through I+'s duplicate suppression, so a message observed
-// in-flight over several periods is executed against each destination state
-// ONCE across all periods. This, plus the surviving per-message cursors, is
-// where warm runs beat cold re-derivation on transitions.
-void LocalModelChecker::merge_snapshot(const std::vector<Blob>& nodes,
-                                       const std::vector<Message>& in_flight) {
-  ++stats_.warm_merges;
-  const std::uint64_t pre_root_hits = stats_.warm_root_hits;
-  const std::uint64_t pre_msgs_reused = stats_.warm_msgs_reused;
-  CheckerEpoch ep;
-  ep.nodes = nodes;
-  ep.msgs = in_flight;
-  std::vector<std::pair<NodeId, std::uint32_t>> fresh;
-  const bool projecting = invariant_ != nullptr && invariant_->has_projection();
-  for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
-    const Hash64 h = hash_blob(nodes[n]);
-    LMC_PROF(opt_.profile, count(obs::Counter::kBytesHashed, nodes[n].size()));
-    std::uint32_t idx = store_.find(n, h);
-    if (idx == UINT32_MAX) {
-      NodeStateRec rec;
-      rec.blob = nodes[n];
-      rec.hash = h;
-      rec.depth = 0;
-      idx = store_.add(n, std::move(rec));
-      if (canon_ != nullptr) {
-        canon_->add_state(n, h);
-        LMC_PROF(opt_.profile, count(obs::Counter::kStatesCanonicalized));
-      }
-      ++stats_.node_states;
-      ++stats_.warm_new_roots;
-      fresh.emplace_back(n, idx);
-      LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
-                                       idx, h, 0, 0.0, n)));
-      if (projecting) {
-        Projection p = invariant_->project(cfg_, n, nodes[n]);
-        if (!p.empty()) mapped_[n].push_back(idx);
-        proj_[n].push_back(std::move(p));
-      }
-    } else {
-      ++stats_.warm_root_hits;
-    }
-    ep.roots.push_back(idx);
-  }
-  for (const Message& m : in_flight) {
-    Hash64 h = m.hash();
-    ep.in_flight.push_back(h);
-    if (net_.add(m)) {
-      EventRecord er;
-      er.is_message = true;
-      er.msg = m;
-      events_.emplace(h, std::move(er));
-      LMC_TRACE(opt_.trace, record(tev(EventType::kIplusAppend, obs::Phase::kExplore, cur_round_,
-                                       h, net_.size(), 0, 0.0, m.dst)));
-    } else {
-      ++stats_.warm_msgs_reused;
-    }
-  }
-  epochs_.push_back(std::move(ep));
-  LMC_TRACE(opt_.trace, record(tev(EventType::kWarmMerge, obs::Phase::kRun, cur_round_,
-                                   fresh.size(), stats_.warm_root_hits - pre_root_hits,
-                                   stats_.warm_msgs_reused - pre_msgs_reused)));
-
-  // Fresh roots are new node states: check their combinations like any
-  // other (after the epoch is registered — soundness must see its seed).
-  if (opt_.enable_system_states && invariant_ != nullptr) {
-    for (const auto& [n, idx] : fresh) {
-      if (stop_) break;
-      const double t0 = now_s();
-      const std::uint64_t pre_ss = stats_.system_states;
-      const std::uint64_t pre_pv = stats_.prelim_violations;
-      check_combinations(n, idx);
-      const double dt = now_s() - t0;
-      stats_.system_state_s += dt;
-      LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
-      LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
-                                       /*site=*/1, stats_.system_states - pre_ss,
-                                       stats_.prelim_violations - pre_pv, dt, n)));
-    }
-  }
-}
-
-std::vector<EpochSeed> LocalModelChecker::epoch_seeds() const {
-  std::vector<EpochSeed> seeds;
-  seeds.reserve(epochs_.size());
-  for (const CheckerEpoch& e : epochs_) seeds.push_back(EpochSeed{e.roots, e.in_flight});
-  return seeds;
-}
-
-std::size_t LocalModelChecker::total_in_flight() const {
-  std::size_t n = 0;
-  for (const CheckerEpoch& e : epochs_) n += e.in_flight.size();
-  return n;
-}
-
-const std::vector<Hash64>& LocalModelChecker::initial_in_flight_hashes() const {
-  static const std::vector<Hash64> empty;
-  return epochs_.empty() ? empty : epochs_.front().in_flight;
-}
-
-const std::vector<Blob>& LocalModelChecker::initial_nodes() const {
-  static const std::vector<Blob> empty;
-  return epochs_.empty() ? empty : epochs_.front().nodes;
-}
-
-const std::vector<Message>& LocalModelChecker::initial_in_flight() const {
-  static const std::vector<Message> empty;
-  return epochs_.empty() ? empty : epochs_.front().msgs;
 }
 
 // One cursor-scan generation (Fig. 9): publish, in deterministic scan
@@ -881,7 +762,7 @@ bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
   // parallel verification phase the inputs are frozen, so concurrent
   // callers of the same key race only on who computes the identical
   // verdict; the striped locks protect the map, not the answer.
-  std::uint64_t sig = total_in_flight();
+  std::uint64_t sig = start_.in_flight_hashes.size();
   for (NodeId m = 0; m < cfg_.num_nodes; ++m)
     sig += (m == n) ? pred_edges_[n] : node_gens_[m].size();
   const std::uint64_t key = (static_cast<std::uint64_t>(n) << 32) | idx;
@@ -896,7 +777,7 @@ bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
   std::unordered_set<Hash64> other_avail;
   for (NodeId m = 0; m < cfg_.num_nodes; ++m)
     if (m != n) other_avail.insert(node_gens_[m].begin(), node_gens_[m].end());
-  SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, epoch_seeds(), opt_.soundness);
+  SoundnessVerifier verifier(store_, start_.in_flight_hashes, opt_.soundness);
   const bool feasible = verifier.target_feasible(n, idx, other_avail);
   {
     std::lock_guard<std::mutex> lk(stripe.mu);
@@ -925,7 +806,6 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     std::uint64_t tried = 0;  ///< symmetry jobs: concrete assignments expanded
   };
   std::vector<Outcome> out(jobs.size());
-  const std::vector<EpochSeed> seeds = epoch_seeds();
   obs::TraceSink* const tsink = opt_.trace;
   obs::ProfileSink* const psink = opt_.profile;
   const obs::Phase tphase = phase2 ? obs::Phase::kDrain : obs::Phase::kSoundness;
@@ -968,7 +848,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
             return true;  // next assignment
           }
         const double t0 = now_s();
-        SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, seeds, opt_.soundness);
+        SoundnessVerifier verifier(store_, start_.in_flight_hashes, opt_.soundness);
         SoundnessResult res = verifier.verify(combo, nullptr);
         secs += now_s() - t0;
         ++calls;
@@ -1034,7 +914,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     const bool quick = !phase2 && so.quick_expansions != 0;
     if (quick) so.max_schedules = std::min(so.max_schedules, so.quick_expansions);
     const double t0 = now_s();
-    SoundnessVerifier verifier = SoundnessVerifier::with_epochs(store_, seeds, so);
+    SoundnessVerifier verifier(store_, start_.in_flight_hashes, so);
     o.res = verifier.verify(d.combo, d.has_mask ? &d.fixed : nullptr);
     o.secs = now_s() - t0;
     o.kind = o.res.sound ? Kind::Sound
@@ -1119,7 +999,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
           defer(std::move(jobs[i]));
           break;
         }
-        if (o.res.truncated) ++stats_.seq_enum_truncated;
+        if (o.res.truncated) ++stats_.verify_truncated;
         ++stats_.unsound_violations;
         break;
     }
@@ -1142,7 +1022,6 @@ void LocalModelChecker::record_confirmed(const std::vector<std::uint32_t>& combo
   v.invariant = invariant_->name();
   v.confirmed = true;
   v.witness = std::move(res.schedule);
-  v.epoch = res.epoch;
   for (NodeId i = 0; i < cfg_.num_nodes; ++i) {
     const NodeStateRec& r = store_.rec(i, v.combo[i]);
     v.state_hashes.push_back(r.hash);
@@ -1168,9 +1047,9 @@ void LocalModelChecker::process_deferred() {
                                    n_jobs, 0, 0, dt)));
 }
 
-void LocalModelChecker::check_snapshot_combination(const std::vector<std::uint32_t>& roots) {
+void LocalModelChecker::check_snapshot_combination() {
   if (!opt_.enable_system_states || invariant_ == nullptr) return;
-  std::vector<std::uint32_t> combo = roots;
+  std::vector<std::uint32_t> combo(cfg_.num_nodes, 0);  // every node on LS_n[0]
   const double t0 = now_s();
   const std::uint64_t pre_ss = stats_.system_states;
   const std::uint64_t pre_pv = stats_.prelim_violations;
@@ -1182,7 +1061,7 @@ void LocalModelChecker::check_snapshot_combination(const std::vector<std::uint32
     for (std::size_t c = 0; c < classes.size(); ++c) {
       counts[c].assign(canon_->universe(c).entries().size(), 0);
       for (NodeId m : classes[c])
-        ++counts[c][canon_->universe(c).find(store_.rec(m, roots[m]).hash)];
+        ++counts[c][canon_->universe(c).find(store_.rec(m, 0).hash)];
     }
     SymSweepCtx ctx{opt_.max_system_states_per_step, false};
     sym_consider(combo, counts, ctx);
@@ -1726,29 +1605,11 @@ void LocalModelChecker::run(const std::vector<Blob>& nodes,
                                    opt_.num_threads, 0.0, TraceEvent::kNoNode, segment_id_)));
   init_run(nodes, in_flight);
   metrics_sample("begin", 0, /*force=*/true);
-  check_snapshot_combination(epochs_.front().roots);
+  check_snapshot_combination();
   explore_stream();
 }
 
 void LocalModelChecker::run_from_initial() { run(initial_states(cfg_), {}); }
-
-void LocalModelChecker::run_warm(const std::vector<Blob>& nodes,
-                                 const std::vector<Message>& in_flight) {
-  if (!initialized_) {
-    run(nodes, in_flight);
-    return;
-  }
-  run_t0_ = now_s();
-  deadline_ = run_t0_ + opt_.time_budget_s;  // time budget is per call
-  base_elapsed_s_ = stats_.elapsed_s;        // wall clock accumulates
-  stop_ = false;
-  LMC_TRACE(opt_.trace, record(tev(EventType::kRunBegin, obs::Phase::kRun, cur_round_,
-                                   /*mode=*/1, stats_.transitions, opt_.num_threads, 0.0,
-                                   TraceEvent::kNoNode, segment_id_)));
-  merge_snapshot(nodes, in_flight);
-  check_snapshot_combination(epochs_.back().roots);
-  explore_stream();
-}
 
 void LocalModelChecker::run_resumed(const std::string& path) {
   load_checkpoint(path);
@@ -1777,7 +1638,7 @@ CheckerImage LocalModelChecker::make_image() const {
   img.segment_id = segment_id_;
   img.base_round = cur_round_;
   img.events = events_;
-  img.epochs = epochs_;
+  img.start = start_;
   img.node_gens.resize(cfg_.num_nodes);
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     img.node_gens[n].assign(node_gens_[n].begin(), node_gens_[n].end());
@@ -1850,7 +1711,7 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   store_ = std::move(img.store);
   net_ = MonotonicNetwork::restore(std::move(img.net_entries), img.net_suppressed);
   events_ = std::move(img.events);
-  epochs_ = std::move(img.epochs);
+  start_ = std::move(img.start);
   internal_scan_ = std::move(img.internal_scan);
   node_gens_.assign(cfg_.num_nodes, {});
   for (NodeId n = 0; n < cfg_.num_nodes; ++n)
@@ -1951,7 +1812,6 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   cur_round_ = img.base_round;
   segment_id_ = img.segment_id;
   stop_ = false;
-  initialized_ = true;
   base_elapsed_s_ = stats_.elapsed_s;
 }
 

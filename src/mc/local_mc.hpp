@@ -196,23 +196,6 @@ class LocalModelChecker {
   /// Explore from the protocol's initial states, empty network.
   void run_from_initial();
 
-  /// Merge-based warm start: the first call behaves like run(); each later
-  /// call MERGES the new snapshot into the existing LS_n / I+ — new node
-  /// states become fresh roots, in-flight messages go through I+'s
-  /// duplicate suppression — and continues exploration with all cursors
-  /// intact, so only (message, state) pairs not tried in earlier calls
-  /// execute. Each merged snapshot is an epoch; soundness verification
-  /// anchors every confirmed violation to one epoch's consistent state
-  /// (LocalViolation::epoch). Stats and violations accumulate across calls;
-  /// the time budget applies per call, max_transitions to the total.
-  ///
-  /// Note the search space is the closure of the UNION of snapshots (one
-  /// epoch's messages stay deliverable to every epoch's states), which on
-  /// slowly-changing systems costs a multiple of per-snapshot restarts —
-  /// online checking therefore warm-starts with per-period cold restarts
-  /// sharing a LocalMcOptions::exec_cache instead (online/crystalball.cpp).
-  void run_warm(const std::vector<Blob>& nodes, const std::vector<Message>& in_flight);
-
   /// Continue an interrupted run from a checkpoint file. The checker's
   /// stores, cursors, stats and the stopped round's unapplied tasks are
   /// restored, so the resumed exploration is exactly the one the original
@@ -267,12 +250,10 @@ class LocalModelChecker {
   const LocalStore& store() const { return store_; }
   const MonotonicNetwork& iplus() const { return net_; }
   const EventTable& events() const { return events_; }
-  /// All snapshot epochs merged so far (offline runs have exactly one).
-  const std::vector<CheckerEpoch>& epochs() const { return epochs_; }
-  // First-epoch views, kept for the offline API (and single-epoch callers).
-  const std::vector<Hash64>& initial_in_flight_hashes() const;
-  const std::vector<Blob>& initial_nodes() const;
-  const std::vector<Message>& initial_in_flight() const;
+  /// The snapshot the run started from (empty before the first run).
+  const std::vector<Blob>& initial_nodes() const { return start_.nodes; }
+  const std::vector<Message>& initial_in_flight() const { return start_.in_flight; }
+  const std::vector<Hash64>& initial_in_flight_hashes() const { return start_.in_flight_hashes; }
 
  private:
   struct Task {
@@ -298,12 +279,11 @@ class LocalModelChecker {
   using Pipeline = concurrent::ExplorePipeline<Task, Exec>;
 
   void init_run(const std::vector<Blob>& nodes, const std::vector<Message>& in_flight);
-  void merge_snapshot(const std::vector<Blob>& nodes, const std::vector<Message>& in_flight);
   void explore_stream();
   std::uint64_t publish_round(Pipeline& pipe);
   std::vector<Exec> execute_task(const Task& t);
   void apply_exec(Exec& e, std::uint64_t seq);
-  void check_snapshot_combination(const std::vector<std::uint32_t>& roots);
+  void check_snapshot_combination();
   void check_combinations(NodeId n, std::uint32_t idx);
   void check_one_combination(std::vector<std::uint32_t>& combo);
   bool combo_violates(const std::vector<std::uint32_t>& combo) const;
@@ -314,8 +294,6 @@ class LocalModelChecker {
   void finalize_stats();
   void maybe_auto_checkpoint();
   CheckerImage make_image() const;
-  std::vector<EpochSeed> epoch_seeds() const;
-  std::size_t total_in_flight() const;
 
   const SystemConfig& cfg_;
   const Invariant* invariant_;
@@ -324,7 +302,7 @@ class LocalModelChecker {
   LocalStore store_;
   MonotonicNetwork net_;
   EventTable events_;
-  std::vector<CheckerEpoch> epochs_;           ///< snapshots merged so far
+  StartSnapshot start_;                        ///< the snapshot the run started from
   std::vector<std::uint32_t> internal_scan_;   ///< per node: next state to scan for HA
   std::vector<std::vector<Projection>> proj_;  ///< per node, parallel to LS_n (when projecting)
   std::vector<std::vector<std::uint32_t>> mapped_;  ///< per node: states with non-empty projection
@@ -465,7 +443,6 @@ class LocalModelChecker {
   std::atomic<std::uint64_t> audits_performed_{0};
   std::vector<LocalViolation> violations_;
   bool stop_ = false;
-  bool initialized_ = false;          ///< init_run/load_checkpoint has happened
   double deadline_ = std::numeric_limits<double>::infinity();
   std::uint64_t combo_probe_ = 0;
   /// Tasks collected (cursors already advanced) but not applied when the

@@ -69,16 +69,13 @@ struct ScheduleStep {
 };
 using Schedule = std::vector<ScheduleStep>;
 
-/// One live snapshot the checker explores from. Offline runs have exactly
-/// one epoch (the initial/live state); online warm start appends one per
-/// period. `roots` are the snapshot states' indices in LS_n — soundness
-/// schedules must start every node on the SAME epoch's root (a snapshot is
-/// a consistent global state; mixing epochs would be unsound).
-struct CheckerEpoch {
-  std::vector<Blob> nodes;              ///< per node: serialized snapshot state
-  std::vector<Message> msgs;            ///< the snapshot's in-flight messages
-  std::vector<std::uint32_t> roots;     ///< per node: index into LS_n
-  std::vector<Hash64> in_flight;        ///< hashes of msgs (soundness seed)
+/// The live (or initial) snapshot a run explores from. Each node's snapshot
+/// state is the first state added to its store, LS_n[0], so every soundness
+/// schedule starts there.
+struct StartSnapshot {
+  std::vector<Blob> nodes;               ///< per node: serialized snapshot state
+  std::vector<Message> in_flight;        ///< the snapshot's in-flight messages
+  std::vector<Hash64> in_flight_hashes;  ///< their hashes (soundness seed)
 };
 
 /// A (preliminary or confirmed) invariant violation on a system state.
@@ -89,7 +86,6 @@ struct LocalViolation {
   std::string invariant;
   bool confirmed = false;             ///< passed soundness verification
   Schedule witness;                   ///< feasible total order (if confirmed)
-  std::size_t epoch = 0;              ///< epoch whose snapshot anchors the witness
 };
 
 /// The LS sets for all nodes. Records live in append-only segmented logs;
@@ -106,8 +102,8 @@ class LocalStore {
   LocalStore(LocalStore&&) noexcept = default;
   LocalStore& operator=(LocalStore&&) noexcept = default;
 
-  // Copies are for quiesced stores only (snapshot merge paths, tests): the
-  // hash indexes are rebuilt from the copied records.
+  // Copies are for quiesced stores only (checkpoint images, tests): the hash
+  // indexes are rebuilt from the copied records.
   LocalStore(const LocalStore& o) : states_(o.states_) {
     index_.reserve(states_.size());
     for (std::size_t n = 0; n < states_.size(); ++n) {

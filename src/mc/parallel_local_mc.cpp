@@ -82,13 +82,4 @@ void WorkerPool::run(std::size_t n, const std::function<void(std::size_t)>& fn) 
   }
 }
 
-void parallel_for(std::size_t n, unsigned threads, const std::function<void(std::size_t)>& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  WorkerPool pool(threads);
-  pool.run(n, fn);
-}
-
 }  // namespace lmc

@@ -84,10 +84,4 @@ class WorkerPool {
   std::atomic<std::uint64_t> dropped_{0};  ///< secondary exceptions (see accessor)
 };
 
-/// One-shot convenience: run fn(0..n-1) over `threads` lanes. threads <= 1
-/// degenerates to a plain loop. Exceptions propagate like WorkerPool::run
-/// (first one rethrown after join — they no longer abort the process).
-/// Spawns threads per call; hot paths should hold a WorkerPool instead.
-void parallel_for(std::size_t n, unsigned threads, const std::function<void(std::size_t)>& fn);
-
 }  // namespace lmc

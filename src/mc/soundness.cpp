@@ -8,178 +8,7 @@ namespace lmc {
 
 SoundnessVerifier::SoundnessVerifier(const LocalStore& store,
                                      std::vector<Hash64> initial_in_flight, SoundnessOptions opt)
-    : store_(store), initial_in_flight_(std::move(initial_in_flight)), opt_(opt) {
-  // Offline runs have exactly one epoch: every node starts at LS_n[0] (the
-  // snapshot state is always the first state added) with the snapshot's
-  // in-flight messages available.
-  EpochSeed e;
-  e.roots.assign(store.num_nodes(), 0);
-  e.in_flight = initial_in_flight_;
-  epochs_.push_back(std::move(e));
-}
-
-SoundnessVerifier SoundnessVerifier::with_epochs(const LocalStore& store,
-                                                 std::vector<EpochSeed> epochs,
-                                                 SoundnessOptions opt) {
-  SoundnessVerifier v(store, std::vector<Hash64>{}, opt);
-  v.epochs_ = std::move(epochs);
-  v.initial_in_flight_.clear();
-  for (const EpochSeed& e : v.epochs_)
-    v.initial_in_flight_.insert(v.initial_in_flight_.end(), e.in_flight.begin(),
-                                e.in_flight.end());
-  return v;
-}
-
-std::vector<SoundnessVerifier::NodeSeq> SoundnessVerifier::enumerate_sequences(
-    NodeId n, std::uint32_t idx, bool* truncated) const {
-  std::vector<NodeSeq> out;
-  // Backward DFS over predecessor pointers. `path` holds the events from
-  // the target back towards the root; a completed path (a state with no
-  // predecessors, i.e. the live/initial state) is reversed into a sequence.
-  std::vector<SeqEv> path;
-  std::vector<std::uint32_t> on_path;  // state indices, for cycle pruning
-
-  struct Frame {
-    std::uint32_t idx;
-    std::size_t next_pred;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({idx, 0});
-  on_path.push_back(idx);
-
-  while (!stack.empty()) {
-    if (out.size() >= opt_.max_sequences_per_node) {
-      if (truncated != nullptr) *truncated = true;
-      break;
-    }
-    Frame& f = stack.back();
-    const NodeStateRec& rec = store_.rec(n, f.idx);
-
-    if (rec.preds.empty()) {
-      // Root reached: emit the path, oldest event first.
-      NodeSeq seq;
-      seq.root = f.idx;
-      seq.evs.assign(path.rbegin(), path.rend());
-      out.push_back(std::move(seq));
-      stack.pop_back();
-      on_path.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-
-    if (f.next_pred >= rec.preds.size()) {
-      stack.pop_back();
-      on_path.pop_back();
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-
-    const Pred& p = rec.preds[f.next_pred++];
-    // Prune edges that revisit a state already on this path (covers the
-    // paper's self-references and longer cycles); also cap path length.
-    bool cyclic = false;
-    for (std::uint32_t s : on_path)
-      if (s == p.pred_idx) {
-        cyclic = true;
-        break;
-      }
-    if (cyclic || path.size() >= opt_.max_seq_len) {
-      if (path.size() >= opt_.max_seq_len && truncated != nullptr) *truncated = true;
-      continue;
-    }
-
-    // The edge leads *to* the current frame's state.
-    path.push_back(SeqEv{p.is_message, p.ev_hash, &p.gen, f.idx});
-    stack.push_back({p.pred_idx, 0});
-    on_path.push_back(p.pred_idx);
-  }
-
-  return out;
-}
-
-bool SoundnessVerifier::is_sequence_valid(const std::vector<const NodeSeq*>& seqs,
-                                          Schedule* schedule) const {
-  // Multiset of available message hashes; seeded with the snapshot's
-  // in-flight messages (they exist without any event generating them).
-  std::unordered_map<Hash64, std::uint32_t> net;
-  for (Hash64 h : initial_in_flight_) ++net[h];
-
-  const std::size_t n_nodes = seqs.size();
-  std::vector<std::size_t> ptr(n_nodes, 0);
-  const std::size_t scheduled_at_entry = schedule != nullptr ? schedule->size() : 0;
-  // Self-loops already fired, keyed by (node, state, ordinal).
-  std::unordered_set<std::uint64_t> fired;
-
-  auto state_at = [&](std::size_t n) -> std::uint32_t {
-    const NodeSeq& s = *seqs[n];
-    return ptr[n] == 0 ? s.root : s.evs[ptr[n] - 1].state_after;
-  };
-
-  bool done = false;
-  while (!done) {
-    // Phase 1: greedily advance the per-node sequences (Fig. 9's
-    // isSequenceValid). Feasibility is confluent, so any enabled-first
-    // order works.
-    bool advanced = true;
-    while (advanced) {
-      advanced = false;
-      for (std::size_t n = 0; n < n_nodes; ++n) {
-        while (ptr[n] < seqs[n]->size()) {
-          const SeqEv& ev = seqs[n]->evs[ptr[n]];
-          if (ev.is_message) {
-            auto it = net.find(ev.ev_hash);
-            if (it == net.end() || it->second == 0) break;  // not yet generated
-            --it->second;
-          }
-          for (Hash64 g : *ev.gen) ++net[g];
-          if (schedule != nullptr)
-            schedule->push_back({static_cast<NodeId>(n), ev.is_message, ev.ev_hash});
-          ++ptr[n];
-          advanced = true;
-        }
-      }
-    }
-
-    done = true;
-    for (std::size_t n = 0; n < n_nodes; ++n)
-      if (ptr[n] != seqs[n]->size()) done = false;
-    if (done) break;
-
-    // Phase 2 (extension over the paper; see NodeStateRec::self_loops):
-    // stuck — try firing one recorded no-op transition of some node's
-    // current state to generate the missing messages.
-    bool fired_one = false;
-    for (std::size_t n = 0; n < n_nodes && !fired_one; ++n) {
-      const std::uint32_t st = state_at(n);
-      const NodeStateRec& rec = store_.rec(static_cast<NodeId>(n), st);
-      for (std::size_t k = 0; k < rec.self_loops.size(); ++k) {
-        const Pred& sl = rec.self_loops[k];
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(n) << 40) ^ (static_cast<std::uint64_t>(st) << 8) ^ k;
-        if (fired.count(key)) continue;
-        if (sl.is_message) {
-          auto it = net.find(sl.ev_hash);
-          if (it == net.end() || it->second == 0) continue;
-          --it->second;
-        }
-        for (Hash64 g : sl.gen) ++net[g];
-        if (schedule != nullptr)
-          schedule->push_back({static_cast<NodeId>(n), sl.is_message, sl.ev_hash});
-        fired.insert(key);
-        fired_one = true;
-        break;
-      }
-    }
-    if (!fired_one) break;  // truly stuck
-  }
-
-  for (std::size_t n = 0; n < n_nodes; ++n)
-    if (ptr[n] != seqs[n]->size()) {
-      if (schedule != nullptr) schedule->resize(scheduled_at_entry);
-      return false;
-    }
-  return true;
-}
+    : store_(store), initial_in_flight_(std::move(initial_in_flight)), opt_(opt) {}
 
 namespace {
 
@@ -196,7 +25,7 @@ struct SubGraph {
   // Forward adjacency restricted to states on some path to the target
   // (fixed nodes) or the whole traversed graph (free nodes). After pruning,
   // `states` of a fixed node holds exactly the states that still reach the
-  // target — an epoch is a candidate iff every fixed root is in it.
+  // target — the search can only succeed if every fixed root is in it.
   std::unordered_map<std::uint32_t, std::vector<FwdEdge>> out;
   std::unordered_set<std::uint32_t> states;
   std::uint32_t target = 0;
@@ -314,8 +143,8 @@ class JointSearch {
     for (Hash64 h : initial) ++net_[h];
   }
 
-  bool run(std::vector<std::uint32_t> start, Schedule* schedule) {
-    pos_ = std::move(start);
+  bool run(Schedule* schedule) {
+    pos_.assign(graphs_.size(), 0);  // every node starts on its snapshot state LS_n[0]
     return dfs(schedule);
   }
 
@@ -401,8 +230,7 @@ class JointSearch {
 
 bool SoundnessVerifier::target_feasible(NodeId n, std::uint32_t target,
                                         const std::unordered_set<Hash64>& other_avail) const {
-  for (const EpochSeed& e : epochs_)
-    if (e.roots[n] == target) return true;  // target IS a snapshot state
+  if (target == 0) return true;  // target IS the snapshot state
   SubGraph g = build_subgraph(store_, n, target);
   // Prune under maximal help: everything other nodes could ever generate is
   // assumed available, plus what this subgraph's own surviving edges make.
@@ -425,11 +253,9 @@ bool SoundnessVerifier::target_feasible(NodeId n, std::uint32_t target,
       }
     }
   }
-  // Target still reachable from some epoch's root over surviving edges?
-  std::unordered_set<std::uint32_t> reached;
-  std::vector<std::uint32_t> work;
-  for (const EpochSeed& e : epochs_)
-    if (reached.insert(e.roots[n]).second) work.push_back(e.roots[n]);
+  // Target still reachable from the snapshot state over surviving edges?
+  std::unordered_set<std::uint32_t> reached{0};
+  std::vector<std::uint32_t> work{0};
   while (!work.empty()) {
     std::uint32_t s = work.back();
     work.pop_back();
@@ -460,42 +286,25 @@ SoundnessResult SoundnessVerifier::verify(const std::vector<std::uint32_t>& comb
       graphs.push_back(build_full_graph(store_, n));
   }
 
-  // Prune once against the union of every epoch's in-flight set — a
-  // conservative superset, so no feasible edge is ever dropped; the joint
-  // search below enforces the per-epoch availability exactly.
   prune_subgraphs(graphs, initial_in_flight_);
-  for (NodeId n = 0; n < n_nodes; ++n) res.sequences_enumerated += graphs[n].states.size();
+  // A fixed node's pruned state set holds exactly the states that still
+  // reach the target; a snapshot state outside it provably cannot.
+  for (NodeId n = 0; n < n_nodes; ++n)
+    if (graphs[n].fixed && graphs[n].states.count(0) == 0) return res;
+  if (opt_.max_schedules == 0) {  // no expansion budget at all: inconclusive
+    res.truncated = true;
+    return res;
+  }
 
-  // Try each epoch newest first: later snapshots are closer to the violating
-  // states, so their searches are shorter; the expansion budget is shared.
-  for (std::size_t e = epochs_.size(); e-- > 0;) {
-    const EpochSeed& seed = epochs_[e];
-    bool candidate = true;
-    for (NodeId n = 0; n < n_nodes && candidate; ++n) {
-      const std::uint32_t root = seed.roots[n];
-      // A fixed node's pruned state set holds exactly the states that still
-      // reach the target; a root outside it provably cannot.
-      if (graphs[n].fixed && graphs[n].states.count(root) == 0) candidate = false;
-    }
-    if (!candidate) continue;
-
-    if (res.schedules_checked >= opt_.max_schedules) {
-      res.truncated = true;
-      break;
-    }
-    JointSearch search(graphs, seed.in_flight, opt_.max_schedules - res.schedules_checked);
-    Schedule sched;
-    std::vector<std::uint32_t> start(seed.roots.begin(), seed.roots.end());
-    const bool found = search.run(std::move(start), &sched);
-    res.schedules_checked += search.expansions();
-    res.truncated = res.truncated || search.truncated();
-    if (found) {
-      res.sound = true;
-      res.schedule = std::move(sched);
-      res.final_combo = search.positions();
-      res.epoch = e;
-      return res;
-    }
+  JointSearch search(graphs, initial_in_flight_, opt_.max_schedules);
+  Schedule sched;
+  const bool found = search.run(&sched);
+  res.schedules_checked = search.expansions();
+  res.truncated = search.truncated();
+  if (found) {
+    res.sound = true;
+    res.schedule = std::move(sched);
+    res.final_combo = search.positions();
   }
   return res;
 }

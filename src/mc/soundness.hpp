@@ -21,13 +21,10 @@
 //     states; internal edges are always enabled, message edges need their
 //     hash in the multiset; recorded self-loops fire when they contribute
 //     a new message.
-// A run that parks every node on its target state is a feasible schedule;
-// it is returned as the witness (and can be re-executed by the replay
-// validator). Everything is integer/hash comparisons — no handler runs.
-//
-// The sequence-based primitives of the paper (enumerate_sequences,
-// is_sequence_valid) are kept as a public API: they are the direct
-// transcription of Fig. 9 and remain useful for small graphs and tests.
+// A run that starts every node on its snapshot state LS_n[0] and parks it on
+// its target is a feasible schedule; it is returned as the witness (and can
+// be re-executed by the replay validator). Everything is integer/hash
+// comparisons — no handler runs.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +36,7 @@
 namespace lmc {
 
 struct SoundnessOptions {
-  std::uint64_t max_sequences_per_node = 256;  ///< enumeration cap (sequence API)
-  std::uint64_t max_schedules = 1u << 20;      ///< joint-search expansion cap per verify()
-  std::uint32_t max_seq_len = 1u << 12;        ///< per-sequence length cap (sequence API)
+  std::uint64_t max_schedules = 1u << 20;  ///< joint-search expansion cap per verify()
   /// Two-phase verification (checker-side): a preliminary violation is
   /// first verified with this expansion cap. Sound combinations confirm
   /// almost immediately (tens of expansions); refuting an unsound one can
@@ -59,56 +54,23 @@ struct SoundnessResult {
   /// Final state index per node. Fixed nodes sit on their targets; free
   /// nodes wherever the feasible run left them (a co-reachable completion).
   std::vector<std::uint32_t> final_combo;
-  /// Epoch whose snapshot the schedule starts from (warm-started online
-  /// checking verifies against each merged snapshot, newest first).
-  std::size_t epoch = 0;
-  std::uint64_t sequences_enumerated = 0;  ///< relevant subgraph states visited
-  std::uint64_t schedules_checked = 0;     ///< joint-search expansions
+  std::uint64_t schedules_checked = 0;  ///< joint-search expansions
   bool truncated = false;               ///< some cap was hit (result may be incomplete)
 };
 
-/// One snapshot's soundness seed: per-node root state indices plus the
-/// in-flight message hashes that exist without any generating event. A
-/// feasible schedule starts every node on the SAME epoch's root — each live
-/// snapshot is a consistent global state, so combining roots of different
-/// epochs could fabricate runs no deployment produced.
-struct EpochSeed {
-  std::vector<std::uint32_t> roots;   ///< per node: index into LS_n
-  std::vector<Hash64> in_flight;      ///< snapshot's in-flight message hashes
-};
-
-/// Thread-safety: a verifier is immutable after construction — verify(),
-/// target_feasible() and enumerate_sequences() are const, touch only the
-/// (frozen during a verification phase) LocalStore plus per-call locals, and
-/// may run concurrently on one instance or on independent instances. The
-/// parallel verification phase of LocalModelChecker builds one verifier per
-/// job (the instances are cheap: they borrow the store and copy the seeds).
+/// Thread-safety: a verifier is immutable after construction — verify() and
+/// target_feasible() are const, touch only the (frozen during a verification
+/// phase) LocalStore plus per-call locals, and may run concurrently on one
+/// instance or on independent instances. The parallel verification phase of
+/// LocalModelChecker builds one verifier per job (the instances are cheap:
+/// they borrow the store and copy the in-flight hashes).
 class SoundnessVerifier {
  public:
-  /// One event of a candidate per-node sequence, oldest first.
-  struct SeqEv {
-    bool is_message = false;
-    Hash64 ev_hash = 0;
-    const std::vector<Hash64>* gen = nullptr;  ///< messages generated (owned by store)
-    std::uint32_t state_after = 0;             ///< state index reached by this event
-  };
-  struct NodeSeq {
-    std::uint32_t root = 0;       ///< starting state index (the live/initial state)
-    std::vector<SeqEv> evs;
-    std::size_t size() const { return evs.size(); }
-  };
-
-  /// Single-epoch (offline) verifier: every node starts at state 0, the
-  /// snapshot's in-flight messages are available without generation.
+  /// Every node starts at its snapshot state LS_n[0] (always the first state
+  /// added); the snapshot's in-flight messages are available without any
+  /// generating event.
   SoundnessVerifier(const LocalStore& store, std::vector<Hash64> initial_in_flight,
                     SoundnessOptions opt);
-
-  /// Multi-epoch (warm-started online) verifier: each epoch contributes one
-  /// consistent (roots, in-flight) start; verify() tries epochs newest
-  /// first and reports the one that admitted a schedule. (A factory rather
-  /// than an overload: `{}` would be ambiguous against the offline ctor.)
-  static SoundnessVerifier with_epochs(const LocalStore& store, std::vector<EpochSeed> epochs,
-                                       SoundnessOptions opt);
 
   /// Verify the system state formed by `combo` (one state index per node).
   /// When `fixed` is non-null, only nodes with fixed[n] == true must reach
@@ -129,21 +91,9 @@ class SoundnessVerifier {
   bool target_feasible(NodeId n, std::uint32_t target,
                        const std::unordered_set<Hash64>& other_avail) const;
 
-  /// All predecessor-closed event sequences reaching (n, idx), capped.
-  /// Exposed for tests and for the replay validator.
-  std::vector<NodeSeq> enumerate_sequences(NodeId n, std::uint32_t idx, bool* truncated) const;
-
-  /// Greedy feasibility check of one sequence combination. On success the
-  /// discovered total order is appended to *schedule (if non-null).
-  bool is_sequence_valid(const std::vector<const NodeSeq*>& seqs, Schedule* schedule) const;
-
  private:
   const LocalStore& store_;
-  /// Union of every epoch's in-flight hashes — seeds the sequence API and
-  /// the (conservative) edge-availability pruning; the joint search itself
-  /// is seeded per epoch.
-  std::vector<Hash64> initial_in_flight_;
-  std::vector<EpochSeed> epochs_;
+  std::vector<Hash64> initial_in_flight_;  ///< the snapshot's in-flight message hashes
   SoundnessOptions opt_;
 };
 

@@ -33,17 +33,16 @@ struct LocalMcStats {
   std::uint64_t soundness_deferred = 0;   ///< quick-pass truncations queued for phase 2
   std::uint64_t deferred_processed = 0;   ///< phase-2 verifications completed
   std::uint64_t deferred_dropped = 0;     ///< deferrals lost to queue overflow (possible misses)
-  std::uint64_t sequences_checked = 0;    ///< isSequenceValid invocations (§5.4: 427,731)
-  std::uint64_t seq_enum_truncated = 0;   ///< sequence enumeration hit a cap
+  std::uint64_t sequences_checked = 0;    ///< joint-search expansions summed over soundness
+                                          ///< calls (our counterpart of the paper's
+                                          ///< isSequenceValid invocations, §5.4: 427,731)
+  std::uint64_t verify_truncated = 0;     ///< phase-2 unsound verdicts whose joint search hit
+                                          ///< max_schedules (inconclusive refutations)
   std::uint64_t combo_truncated = 0;      ///< combination enumeration hit a cap
   std::uint64_t dup_msgs_suppressed = 0;
   std::uint64_t history_skips = 0;        ///< deliveries skipped via state history
   std::uint64_t local_assert_discards = 0;///< node states discarded on local assert
   std::uint64_t messages_in_iplus = 0;
-  std::uint64_t warm_merges = 0;          ///< online warm-start epochs merged
-  std::uint64_t warm_new_roots = 0;       ///< snapshot states added as fresh roots
-  std::uint64_t warm_root_hits = 0;       ///< snapshot states already present in LS_n
-  std::uint64_t warm_msgs_reused = 0;     ///< snapshot in-flight msgs already in I+
   std::uint64_t warm_pairs_skipped = 0;   ///< handler executions replayed from the ExecCache
   std::uint64_t checkpoints_written = 0;  ///< auto-checkpoints saved during the run
   std::uint64_t checkpoint_failures = 0;  ///< auto-checkpoint writes that failed (run continued)

@@ -13,21 +13,6 @@ bool MonotonicNetwork::add(Message m) {
   return true;
 }
 
-MonotonicNetwork::MergeStats MonotonicNetwork::merge(const std::vector<Message>& msgs) {
-  MergeStats st;
-  for (const Message& m : msgs) {
-    if (add(m))
-      ++st.appended;
-    else
-      ++st.suppressed;
-  }
-  return st;
-}
-
-std::size_t MonotonicNetwork::add_all(const std::vector<Message>& msgs) {
-  return merge(msgs).suppressed;
-}
-
 MonotonicNetwork MonotonicNetwork::restore(std::vector<Entry> entries, std::uint64_t suppressed) {
   MonotonicNetwork net;
   for (Entry& e : entries) {

@@ -36,20 +36,6 @@ class MonotonicNetwork {
   /// with identical content was already added at any point in the search.
   bool add(Message m);
 
-  /// Outcome of a batch merge (warm-start bookkeeping).
-  struct MergeStats {
-    std::size_t appended = 0;
-    std::size_t suppressed = 0;  ///< duplicates of already-present content
-  };
-
-  /// Append a batch through the same duplicate-hash suppression path as
-  /// add(). Online warm start merges each new snapshot's in-flight messages
-  /// with this, so insertion logic lives in exactly one place.
-  MergeStats merge(const std::vector<Message>& msgs);
-
-  /// Append a batch; returns the number of suppressed duplicates.
-  std::size_t add_all(const std::vector<Message>& msgs);
-
   /// Rebuild a network from checkpointed entries: the hash index is
   /// reconstructed, per-message cursors are taken from the entries.
   static MonotonicNetwork restore(std::vector<Entry> entries, std::uint64_t suppressed);
@@ -72,18 +58,10 @@ class MonotonicNetwork {
   bool contains(Hash64 h) const { return index_.count(h) != 0; }
   const Message* find(Hash64 h) const;
 
-  /// Entry position of the message with content hash `h`, or npos.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t position(Hash64 h) const {
-    auto it = index_.find(h);
-    return it == index_.end() ? npos : it->second;
-  }
-
   std::uint64_t suppressed() const { return suppressed_; }
 
-  /// Hashes of every message ever added, in insertion order. The first
-  /// `n_initial` entries are the snapshot's in-flight messages; soundness
-  /// verification seeds its `net` set from them.
+  /// Hashes of every message ever added, in insertion order (the snapshot's
+  /// distinct in-flight messages come first).
   std::vector<Hash64> all_hashes() const;
 
   /// Approximate heap footprint for Fig. 12 accounting.

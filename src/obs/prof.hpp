@@ -109,7 +109,7 @@ class ProfileSink {
   /// Accumulate wall seconds into a phase bucket (attribution).
   void phase_wall(Phase p, double secs);
   /// Record the run's cumulative elapsed seconds (set-latest, not summed:
-  /// warm/online segments report a cumulative figure).
+  /// resumed segments report a cumulative figure).
   void run_wall(double elapsed_s);
   /// Note the configured thread count (reports want it; not identity).
   void note_threads(unsigned n) { threads_ = n; }

@@ -112,7 +112,6 @@ ReportSummary summarize(const std::vector<TraceEvent>& events) {
         s.por_relation_pairs = ev.a;
         s.por_unclassifiable = ev.c;
         break;
-      case EventType::kWarmMerge:
       case EventType::kOnlinePeriod:
         break;
     }

@@ -49,7 +49,7 @@ struct ReportSummary {
   std::uint64_t por_prune_rounds = 0;   ///< kPorPrune events (rounds that pruned)
   std::uint32_t rounds = 0;             ///< max round seen
   std::uint64_t run_begins = 0, run_ends = 0;
-  std::uint64_t base_transitions = 0;   ///< from the first kRunBegin (resume/warm)
+  std::uint64_t base_transitions = 0;   ///< from the first kRunBegin (resume)
   std::uint64_t final_transitions = 0;  ///< from the last kRunEnd `a`
   std::uint64_t confirmed = 0;          ///< from the last kRunEnd `b`
   bool completed = false;               ///< from the last kRunEnd `c`

@@ -41,7 +41,6 @@ const char* to_string(EventType t) {
     case EventType::kSoundnessPhase: return "soundness_phase";
     case EventType::kDeferralDrain: return "deferral_drain";
     case EventType::kCheckpointSave: return "checkpoint_save";
-    case EventType::kWarmMerge: return "warm_merge";
     case EventType::kOnlinePeriod: return "online_period";
     case EventType::kWorkerError: return "worker_error";
     case EventType::kPorPrune: return "por_prune";
@@ -162,6 +161,7 @@ bool parse_jsonl_line(const std::string& line, TraceEvent& ev) {
   if (type == nullptr || !type->is_string()) return false;
 
   ev = TraceEvent{};
+  if (type->str == "unknown") return false;  // the name of retired ids
   bool type_ok = false;
   for (int t = 0; t <= static_cast<int>(EventType::kPorResolve); ++t) {
     if (type->str == to_string(static_cast<EventType>(t))) {

@@ -1,7 +1,7 @@
 // Structured exploration tracing (observability layer, DESIGN.md §10).
 //
 // A TraceSink collects typed, phase/round/worker-attributed events from one
-// checker run (or a sequence of warm/online runs sharing the sink). Two
+// checker run (or a sequence of online period runs sharing the sink). Two
 // append paths exist:
 //  * record() — the checker's deterministic merge/apply path (single thread)
 //    appends straight to the master stream;
@@ -46,7 +46,7 @@ enum class Phase : std::uint8_t {
 };
 
 enum class EventType : std::uint8_t {
-  kRunBegin = 0,         ///< a=mode (0 init, 1 warm, 2 resume), b=base transitions, c=threads
+  kRunBegin = 0,         ///< a=mode (0 init, 2 resume; 1 retired), b=base transitions, c=threads
   kRunEnd = 1,           ///< a=transitions, b=confirmed, c=completed; dur=elapsed_s (cumulative)
   kRoundBegin = 2,       ///< a=tasks collected
   kRoundEnd = 3,         ///< a=tasks, b=total node states, c=I+ size; dur=round wall s
@@ -54,13 +54,13 @@ enum class EventType : std::uint8_t {
   kHandlerApply = 5,     ///< apply: a=cached, b=ev_hash, c=outcome (0 new, 1 dedup, 2 self-loop, 3 assert-discard)
   kStateInsert = 6,      ///< a=state idx, b=state hash, c=chain depth
   kIplusAppend = 7,      ///< a=msg hash, b=I+ size after; node=dst
-  kComboSweep = 8,       ///< a=site (0 apply, 1 warm root, 2 snapshot), b=combos checked, c=prelims; dur=sweep+verify wall s
+  kComboSweep = 8,       ///< a=site (0 apply, 2 snapshot; 1 retired), b=combos checked, c=prelims; dur=sweep+verify wall s
   kSoundnessRun = 9,     ///< worker: a=verdict kind, dur=verify s; seq=job idx
   kSoundnessVerdict = 10,///< merge: a=verdict kind, b=schedules checked, c=phase2; dur=verify s; seq=job idx
   kSoundnessPhase = 11,  ///< one verify_prelims call: a=jobs, b=phase2; dur=wall s
   kDeferralDrain = 12,   ///< phase-2 drain: a=jobs drained; dur=wall s
   kCheckpointSave = 13,  ///< a=ok, b=checkpoints_written so far; dur=save wall s
-  kWarmMerge = 14,       ///< a=new roots, b=root hits, c=msgs reused
+  // 14 is retired (snapshot-merge warm start); ids are never reused.
   kOnlinePeriod = 15,    ///< a=period idx, b=transitions, c=found; dur=checker wall s
   kWorkerError = 16,     ///< a=secondary worker exceptions dropped, b=source (0 pipeline, 1 pool)
   kPorPrune = 17,        ///< a=deliveries pruned this round, b=cumulative pruned, c=conservative skips

@@ -15,10 +15,9 @@ CrystalBallResult CrystalBall::run_cold() { return run_periods(nullptr); }
 // execution an earlier period already performed is replayed from the cache
 // instead of re-run. Same bugs found at the same periods; strictly fewer
 // handler executions whenever consecutive snapshots' closures overlap
-// (bench/bench_warm_online.cpp measures the savings). Merging snapshots
-// into ONE persistent checker (LocalModelChecker::run_warm) is NOT used
-// here: it explores the closure of the union of all snapshots, which on
-// slowly-changing systems costs a multiple of per-snapshot restarts.
+// (bench/bench_warm_online.cpp measures the savings). Snapshots are never
+// merged into one persistent checker: that explores the closure of their
+// union, a multiple of the per-snapshot work (persist/exec_cache.hpp).
 CrystalBallResult CrystalBall::run_warm() {
   ExecCache cache;
   return run_periods(&cache);

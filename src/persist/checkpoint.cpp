@@ -68,22 +68,18 @@ Blob enc_meta(const CheckerImage& img) {
   for (NodeId n = 0; n < img.num_nodes; ++n) w.u64(img.store.size(n));
   w.u64(img.net_entries.size());
   w.u64(img.events.size());
-  w.u64(img.epochs.size());
   w.u64(img.stats.transitions);
   w.u64(img.stats.confirmed_violations);
   w.u64(img.pending.size());
   return std::move(w).take();
 }
 
-Blob enc_epochs(const CheckerImage& img) {
+// Only the snapshot itself is stored: its states are LS_n[0] by construction
+// (no root indices) and its in-flight hashes are recomputed on decode.
+Blob enc_snapshot(const CheckerImage& img) {
   Writer w;
-  w.u32(static_cast<std::uint32_t>(img.epochs.size()));
-  for (const CheckerEpoch& e : img.epochs) {
-    w.vec(e.nodes, [](Writer& ww, const Blob& b) { ww.bytes(b); });
-    w.vec(e.msgs, [](Writer& ww, const Message& m) { write_message(ww, m); });
-    write_u32_vec(w, e.roots);
-    write_u64_vec(w, e.in_flight);
-  }
+  w.vec(img.start.nodes, [](Writer& ww, const Blob& b) { ww.bytes(b); });
+  w.vec(img.start.in_flight, [](Writer& ww, const Message& m) { write_message(ww, m); });
   return std::move(w).take();
 }
 
@@ -166,18 +162,14 @@ Blob enc_stats(const LocalMcStats& s) {
   w.u64(s.feasibility_skips);
   w.u64(s.soundness_deferred);
   w.u64(s.deferred_processed);
-  w.u64(s.deferred_dropped);  // v3: counter (v2 stored a latched bool here)
+  w.u64(s.deferred_dropped);
   w.u64(s.sequences_checked);
-  w.u64(s.seq_enum_truncated);
+  w.u64(s.verify_truncated);
   w.u64(s.combo_truncated);
   w.u64(s.dup_msgs_suppressed);
   w.u64(s.history_skips);
   w.u64(s.local_assert_discards);
   w.u64(s.messages_in_iplus);
-  w.u64(s.warm_merges);
-  w.u64(s.warm_new_roots);
-  w.u64(s.warm_root_hits);
-  w.u64(s.warm_msgs_reused);
   w.u64(s.warm_pairs_skipped);
   w.u64(s.checkpoints_written);
   w.u64(s.checkpoint_failures);
@@ -186,7 +178,7 @@ Blob enc_stats(const LocalMcStats& s) {
   w.u64(d2u(s.soundness_s));
   w.u64(d2u(s.system_state_s));
   w.u64(d2u(s.deferred_s));
-  w.u64(d2u(s.soundness_wall_s));  // v3
+  w.u64(d2u(s.soundness_wall_s));
   w.b(s.completed);
   w.u32(s.max_chain_depth_reached);
   w.u32(s.max_total_depth_reached);
@@ -201,7 +193,7 @@ Blob enc_deferred(const CheckerImage& img) {
     w.u32(static_cast<std::uint32_t>(d.fixed.size()));
     for (std::uint8_t f : d.fixed) w.u8(f);
     w.b(d.has_mask);
-    w.b(d.sym);  // v4
+    w.b(d.sym);
   }
   return std::move(w).take();
 }
@@ -261,7 +253,6 @@ Blob enc_violations(const CheckerImage& img) {
       ww.b(s.is_message);
       ww.u64(s.ev_hash);
     });
-    w.u64(v.epoch);
   }
   return std::move(w).take();
 }
@@ -287,23 +278,18 @@ Blob enc_segment(const CheckerImage& img) {
 
 // --- section decoders (with structural validation) -------------------------
 
-void dec_epochs(Reader& r, CheckerImage& img) {
-  std::uint32_t n = r.u32();
-  img.epochs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CheckerEpoch e;
-    e.nodes = r.vec<Blob>([](Reader& rr) { return rr.bytes(); });
-    e.msgs = r.vec<Message>([](Reader& rr) { return read_message(rr); });
-    e.roots = read_u32_vec(r);
-    e.in_flight = read_u64_vec(r);
-    check(e.nodes.size() == img.num_nodes, "epoch node count mismatch");
-    check(e.roots.size() == img.num_nodes, "epoch root count mismatch");
-    check(e.in_flight.size() == e.msgs.size(), "epoch in-flight/msgs count mismatch");
-    for (std::size_t k = 0; k < e.msgs.size(); ++k)
-      check(e.msgs[k].hash() == e.in_flight[k], "epoch in-flight hash mismatch");
-    img.epochs.push_back(std::move(e));
-  }
+void dec_snapshot(Reader& r, CheckerImage& img) {
+  StartSnapshot& st = img.start;
+  st.nodes = r.vec<Blob>([](Reader& rr) { return rr.bytes(); });
+  st.in_flight = r.vec<Message>([](Reader& rr) { return read_message(rr); });
   r.expect_exhausted();
+  check(st.nodes.size() == img.num_nodes, "snapshot node count mismatch");
+  for (NodeId n = 0; n < img.num_nodes; ++n) {
+    check(img.store.size(n) > 0, "node has no state (missing snapshot state)");
+    check(hash_blob(st.nodes[n]) == img.store.rec(n, 0).hash,
+          "snapshot state is not the node's first state");
+  }
+  for (const Message& m : st.in_flight) st.in_flight_hashes.push_back(m.hash());
 }
 
 void dec_store(Reader& r, CheckerImage& img) {
@@ -387,7 +373,7 @@ void dec_cursors(Reader& r, CheckerImage& img) {
   r.expect_exhausted();
 }
 
-void dec_stats(Reader& r, LocalMcStats& s, std::uint32_t version) {
+void dec_stats(Reader& r, LocalMcStats& s) {
   s.transitions = r.u64();
   s.node_states = r.u64();
   s.system_states = r.u64();
@@ -399,19 +385,14 @@ void dec_stats(Reader& r, LocalMcStats& s, std::uint32_t version) {
   s.feasibility_skips = r.u64();
   s.soundness_deferred = r.u64();
   s.deferred_processed = r.u64();
-  // v2 latched a bool; widen it to 0/1 so old files keep their meaning.
-  s.deferred_dropped = version >= 3 ? r.u64() : (r.b() ? 1 : 0);
+  s.deferred_dropped = r.u64();
   s.sequences_checked = r.u64();
-  s.seq_enum_truncated = r.u64();
+  s.verify_truncated = r.u64();
   s.combo_truncated = r.u64();
   s.dup_msgs_suppressed = r.u64();
   s.history_skips = r.u64();
   s.local_assert_discards = r.u64();
   s.messages_in_iplus = r.u64();
-  s.warm_merges = r.u64();
-  s.warm_new_roots = r.u64();
-  s.warm_root_hits = r.u64();
-  s.warm_msgs_reused = r.u64();
   s.warm_pairs_skipped = r.u64();
   s.checkpoints_written = r.u64();
   s.checkpoint_failures = r.u64();
@@ -420,14 +401,14 @@ void dec_stats(Reader& r, LocalMcStats& s, std::uint32_t version) {
   s.soundness_s = u2d(r.u64());
   s.system_state_s = u2d(r.u64());
   s.deferred_s = u2d(r.u64());
-  s.soundness_wall_s = version >= 3 ? u2d(r.u64()) : 0.0;
+  s.soundness_wall_s = u2d(r.u64());
   s.completed = r.b();
   s.max_chain_depth_reached = r.u32();
   s.max_total_depth_reached = r.u32();
   r.expect_exhausted();
 }
 
-void dec_deferred(Reader& r, CheckerImage& img, std::uint32_t version) {
+void dec_deferred(Reader& r, CheckerImage& img) {
   std::uint32_t n = r.u32();
   img.deferred.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -437,7 +418,7 @@ void dec_deferred(Reader& r, CheckerImage& img, std::uint32_t version) {
     d.fixed.reserve(fn);
     for (std::uint32_t k = 0; k < fn; ++k) d.fixed.push_back(r.u8());
     d.has_mask = r.b();
-    d.sym = version >= 4 ? r.b() : false;
+    d.sym = r.b();
     check(d.combo.size() == img.num_nodes, "deferred combo size mismatch");
     check(!d.has_mask || d.fixed.size() == img.num_nodes, "deferred mask size mismatch");
     for (NodeId k = 0; k < img.num_nodes; ++k)
@@ -464,7 +445,6 @@ void dec_violations(Reader& r, CheckerImage& img) {
       s.ev_hash = rr.u64();
       return s;
     });
-    v.epoch = r.u64();
     check(v.combo.size() == img.num_nodes, "violation combo size mismatch");
     img.violations.push_back(std::move(v));
   }
@@ -599,8 +579,7 @@ CheckpointReader::CheckpointReader(const Blob& data) : data_(&data) {
   Reader r(data.data(), body_len);
   r.u64();  // magic (already compared)
   version_ = r.u32();
-  check(version_ >= kMinCheckpointVersion && version_ <= kCheckpointVersion,
-        "unsupported format version");
+  check(version_ == kCheckpointVersion, "unsupported format version");
   num_nodes_ = r.u32();
   const std::uint32_t n_sections = r.u32();
   r.u32();  // reserved
@@ -640,7 +619,7 @@ Reader CheckpointReader::open(std::uint32_t id) const {
 Blob encode_checkpoint(const CheckerImage& img) {
   CheckpointWriter w(img.num_nodes);
   w.add_section(kSecMeta, enc_meta(img));
-  w.add_section(kSecEpochs, enc_epochs(img));
+  w.add_section(kSecSnapshot, enc_snapshot(img));
   w.add_section(kSecStore, enc_store(img));
   w.add_section(kSecNetwork, enc_network(img));
   w.add_section(kSecEvents, enc_events(img));
@@ -668,11 +647,8 @@ CheckerImage decode_checkpoint(const Blob& data) {
       dec_store(s, img);
     }
     {
-      Reader s = r.open(kSecEpochs);
-      dec_epochs(s, img);
-      for (const CheckerEpoch& e : img.epochs)
-        for (NodeId n = 0; n < img.num_nodes; ++n)
-          check(e.roots[n] < img.store.size(n), "epoch root out of range");
+      Reader s = r.open(kSecSnapshot);
+      dec_snapshot(s, img);
     }
     {
       Reader s = r.open(kSecNetwork);
@@ -692,11 +668,11 @@ CheckerImage decode_checkpoint(const Blob& data) {
     }
     {
       Reader s = r.open(kSecStats);
-      dec_stats(s, img.stats, r.version());
+      dec_stats(s, img.stats);
     }
     {
       Reader s = r.open(kSecDeferred);
-      dec_deferred(s, img, r.version());
+      dec_deferred(s, img);
     }
     {
       Reader s = r.open(kSecViolations);
@@ -706,9 +682,7 @@ CheckerImage decode_checkpoint(const Blob& data) {
       Reader s = r.open(kSecPending);
       dec_pending(s, img);
     }
-    // Section 12 is absent in files written before it existed; the stamps
-    // default to 0 (the values a fresh run would carry).
-    if (r.has(kSecSegment)) {
+    {
       Reader s = r.open(kSecSegment);
       dec_segment(s, img);
     }
@@ -717,7 +691,7 @@ CheckerImage decode_checkpoint(const Blob& data) {
       Reader s = r.open(kSecSymmetry);
       dec_symmetry(s, img);
     }
-    // Section 14 exists only in files written by POR-active runs (v5+).
+    // Section 14 exists only in files written by POR-active runs.
     if (r.has(kSecPor)) {
       Reader s = r.open(kSecPor);
       dec_por(s, img);
@@ -725,7 +699,6 @@ CheckerImage decode_checkpoint(const Blob& data) {
   } catch (const SerializeError& e) {
     fail(std::string("malformed section: ") + e.what());
   }
-  check(!img.epochs.empty(), "no epochs");
   return img;
 }
 
@@ -744,7 +717,6 @@ CheckpointInfo inspect_checkpoint(const Blob& data) {
       for (std::uint32_t i = 0; i < n; ++i) info.states_per_node.push_back(m.u64());
       info.net_size = m.u64();
       info.event_count = m.u64();
-      info.epoch_count = m.u64();
       info.transitions = m.u64();
       info.confirmed_violations = m.u64();
       info.pending_tasks = m.u64();

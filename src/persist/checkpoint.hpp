@@ -40,21 +40,15 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr char kCheckpointMagic[8] = {'L', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
-// v2: +checkpoint_failures, +deferred_s
-// v3: deferred_dropped bool -> u64 counter (in place), +soundness_wall_s.
-// v4: +DeferredCombo.sym byte, +kSecSymmetry (optional orbit-cache section).
-// v5: +kSecPor (optional partial-order-reduction section: relation digest,
-//     PorStats, per-node kNoop/kDiscard forward-map entries).
-// Writers always emit the current version; the reader accepts older files
-// and widens/defaults the changed fields on decode (kMinCheckpointVersion).
-inline constexpr std::uint32_t kCheckpointVersion = 5;
-inline constexpr std::uint32_t kMinCheckpointVersion = 2;
+// Writers emit this version and readers accept only this version (layout and
+// history in persist/FORMAT.md).
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /// Section ids of the container format. Ids are stable across versions;
 /// readers skip ids they do not know.
 enum SectionId : std::uint32_t {
   kSecMeta = 1,         ///< summary counters (cheap inspection)
-  kSecEpochs = 2,       ///< snapshot epochs (nodes, msgs, roots, in-flight)
+  kSecSnapshot = 2,     ///< the start snapshot (node states, in-flight messages)
   kSecStore = 3,        ///< LS_n: every traversed node state + pred graph
   kSecNetwork = 4,      ///< I+: entries with per-message cursors
   kSecEvents = 5,       ///< event table (hash -> message/internal event)
@@ -119,7 +113,7 @@ struct DeferredCombo {
   std::vector<std::uint8_t> fixed;
   bool has_mask = false;
   /// The combo is a canonical orbit representative; phase-2 must expand its
-  /// class assignments when verifying (v4+; decodes to false from older files).
+  /// class assignments when verifying.
   bool sym = false;
 };
 
@@ -152,7 +146,7 @@ struct CheckerImage {
   std::vector<MonotonicNetwork::Entry> net_entries;
   std::uint64_t net_suppressed = 0;
   EventTable events;
-  std::vector<CheckerEpoch> epochs;
+  StartSnapshot start;
   std::vector<std::vector<Hash64>> node_gens;  ///< per node, sorted
   std::vector<std::uint64_t> pred_edges;
   std::vector<std::uint32_t> internal_scan;
@@ -163,7 +157,7 @@ struct CheckerImage {
   /// Trace-continuity stamps (kSecSegment): the id of the trace segment
   /// that wrote the checkpoint and its round counter, so a resumed run
   /// numbers its segment/rounds as a continuation instead of restarting at
-  /// 0. Absent in pre-section-12 files; both default to 0.
+  /// 0.
   std::uint64_t segment_id = 0;
   std::uint32_t base_round = 0;
   /// Orbit-cache summary (kSecSymmetry): present only when the run that
@@ -173,7 +167,7 @@ struct CheckerImage {
   bool has_symmetry = false;
   symmetry::SymmetryStats sym_stats;
   std::vector<Hash64> sym_seen;
-  /// Partial-order reduction (kSecPor, v5+): present only when the writing
+  /// Partial-order reduction (kSecPor): present only when the writing
   /// run pruned with an independence relation. `por_digest` pins the
   /// relation the prune decisions were taken under (resuming under a
   /// different one is rejected); `por_entries` holds, per node and sorted
@@ -207,11 +201,10 @@ struct CheckpointInfo {
   std::vector<std::uint64_t> states_per_node;
   std::uint64_t net_size = 0;
   std::uint64_t event_count = 0;
-  std::uint64_t epoch_count = 0;
   std::uint64_t transitions = 0;
   std::uint64_t confirmed_violations = 0;
   std::uint64_t pending_tasks = 0;
-  // From kSecSegment (0/0 for pre-section-12 files and straight runs):
+  // From kSecSegment (0/0 for straight runs):
   std::uint64_t segment_id = 0;
   std::uint32_t base_round = 0;
   // From kSecSymmetry (absent unless the writing run had the reduction on):

@@ -13,11 +13,11 @@
 // warm run just gets further per period, because replaying a pair is much
 // cheaper than executing it — it can only ever cover more, never less.
 //
-// Why memoize instead of merging snapshots into one persistent checker
-// (LocalModelChecker::run_warm)? The merge unions the snapshots' closures:
-// every epoch's messages become deliverable to every epoch's states, a
-// cross-product no cold restart pays — measured ~2-4x MORE transitions than
-// restarting per snapshot on the §5.5 workload. The cache keeps each
+// Why memoize instead of merging each snapshot into one persistent checker?
+// A merge unions the snapshots' closures: every snapshot's messages become
+// deliverable to every snapshot's states, a cross-product no cold restart
+// pays — a merging checker measured ~2-4x MORE transitions than restarting
+// per snapshot on the §5.5 workload, and was removed. The cache keeps each
 // period's search space exactly the cold one and removes only true re-work.
 //
 // The map is sharded 16 ways by key hash so the work-stealing phase-1

@@ -21,7 +21,7 @@ using namespace lmc;
 const char* section_name(std::uint32_t id) {
   switch (id) {
     case kSecMeta: return "meta";
-    case kSecEpochs: return "epochs";
+    case kSecSnapshot: return "snapshot";
     case kSecStore: return "store";
     case kSecNetwork: return "network";
     case kSecEvents: return "events";
@@ -49,7 +49,6 @@ int cmd_inspect_json(const std::string& path) {
   rec.metric("node_states", info.total_states);
   rec.metric("iplus_messages", info.net_size);
   rec.metric("events", info.event_count);
-  rec.metric("epochs", info.epoch_count);
   rec.metric("pending_tasks", info.pending_tasks);
   rec.metric("segment_id", info.segment_id);
   rec.metric("base_round", static_cast<std::uint64_t>(info.base_round));
@@ -95,7 +94,6 @@ int cmd_inspect(const std::string& path) {
   std::printf(")\n");
   std::printf("  I+ messages: %" PRIu64 "\n", info.net_size);
   std::printf("  events:      %" PRIu64 "\n", info.event_count);
-  std::printf("  epochs:      %" PRIu64 "\n", info.epoch_count);
   std::printf("  transitions: %" PRIu64 "\n", info.transitions);
   std::printf("  confirmed:   %" PRIu64 "\n", info.confirmed_violations);
   std::printf("  pending:     %" PRIu64 " task(s) of an interrupted round\n", info.pending_tasks);
@@ -133,8 +131,8 @@ int cmd_validate(const std::string& path) {
     std::fprintf(stderr, "%s: decodes but is not in canonical form\n", path.c_str());
     return 1;
   }
-  std::printf("%s: valid (v%u, %u nodes, %" PRIu64 " states, %zu epochs)\n", path.c_str(),
-              kCheckpointVersion, img.num_nodes, img.store.total_states(), img.epochs.size());
+  std::printf("%s: valid (v%u, %u nodes, %" PRIu64 " states)\n", path.c_str(), kCheckpointVersion,
+              img.num_nodes, img.store.total_states());
   return 0;
 }
 
@@ -155,7 +153,6 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
   delta("node states", a.store.total_states(), b.store.total_states());
   delta("I+ messages", a.net_entries.size(), b.net_entries.size());
   delta("events", a.events.size(), b.events.size());
-  delta("epochs", a.epochs.size(), b.epochs.size());
   delta("confirmed violations", a.stats.confirmed_violations, b.stats.confirmed_violations);
   delta("pending tasks", a.pending.size(), b.pending.size());
   for (NodeId n = 0; n < a.num_nodes; ++n) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "dfuzz/protogen.hpp"
 #include "mc/local_mc.hpp"
@@ -118,6 +119,21 @@ TEST(CkptRobustness, ForeignMagicAndVersionRejected) {
     Blob bad = data;
     bad[8] = static_cast<std::uint8_t>(kCheckpointVersion + 13);
     EXPECT_THROW(decode_checkpoint(bad), CheckpointError);
+  }
+}
+
+TEST(CkptRobustness, SnapshotStateMustBeFirstStoreState) {
+  // Section 2 stores the start snapshot without root indices: each node's
+  // snapshot state must be LS_n[0]. Re-encoding a tampered image gives a
+  // file with a valid checksum, so only that structural check can catch it.
+  CheckerImage img = decode_checkpoint(sample_checkpoint());
+  ASSERT_GT(img.store.size(0), 1u);
+  img.start.nodes[0] = img.store.rec(0, 1).blob;  // a real state, but not LS_0[0]
+  try {
+    decode_checkpoint(encode_checkpoint(img));
+    FAIL() << "a snapshot state other than LS_n[0] must be rejected";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos) << e.what();
   }
 }
 

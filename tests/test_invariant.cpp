@@ -3,10 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "mc/invariant.hpp"
-#include "mc/parallel_local_mc.hpp"
-
-#include <atomic>
-#include <numeric>
 
 namespace lmc {
 namespace {
@@ -44,34 +40,6 @@ TEST(Invariant, DefaultSelfViolatesIsFalse) {
   Dummy inv;
   EXPECT_FALSE(inv.projection_self_violates({{1, 1}}));
   EXPECT_FALSE(inv.projection_self_violates({}));
-}
-
-TEST(ParallelFor, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, SingleThreadDegenerates) {
-  std::vector<int> order;
-  parallel_for(10, 1, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  std::vector<int> expect(10);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);  // strictly sequential in-order
-}
-
-TEST(ParallelFor, ZeroAndOneElements) {
-  int count = 0;
-  parallel_for(0, 4, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 0);
-  parallel_for(1, 4, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count, 1);
-}
-
-TEST(ParallelFor, MoreThreadsThanWork) {
-  std::vector<std::atomic<int>> hits(3);
-  parallel_for(3, 16, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

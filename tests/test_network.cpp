@@ -79,25 +79,6 @@ TEST(MonotonicNetwork, CursorsStartAtZero) {
   EXPECT_EQ(net.at(0).next_state, 5u);
 }
 
-TEST(MonotonicNetwork, MergeSuppressesKnownContentAndKeepsCursors) {
-  MonotonicNetwork net;
-  net.add(mk(1, 0, 7));
-  net.at(0).next_state = 3;  // simulate earlier exploration progress
-
-  // Merge a batch: one duplicate of existing content, one internal
-  // duplicate pair, one genuinely new message.
-  auto st = net.merge({mk(1, 0, 7), mk(2, 0, 8), mk(2, 0, 8), mk(3, 0, 9)});
-  EXPECT_EQ(st.appended, 2u);
-  EXPECT_EQ(st.suppressed, 2u);
-  EXPECT_EQ(net.size(), 3u);
-  EXPECT_EQ(net.suppressed(), 2u);
-  // The pre-existing entry's cursor is untouched (warm start relies on it).
-  EXPECT_EQ(net.at(0).next_state, 3u);
-  // Appended entries start cold.
-  EXPECT_EQ(net.at(1).next_state, 0u);
-  EXPECT_EQ(net.at(2).next_state, 0u);
-}
-
 TEST(MonotonicNetwork, RestoreRebuildsIndexAndCursors) {
   MonotonicNetwork orig;
   orig.add(mk(1, 0, 7));

@@ -3,9 +3,8 @@
 // reproduction, JSONL round-trips, schema validation, the LMC_TRACE /
 // LMC_PROF cost contracts, the profiling identity contract (1-vs-8-thread
 // byte identity, checkpoint non-perturbation), the Chrome trace_event
-// export, baseline missing-case reporting, and the checkpoint v3 stats
-// fields (deferred_dropped counter, soundness_wall_s) including v2 read
-// compatibility.
+// export, baseline missing-case reporting, and the checkpoint stats fields
+// (deferred_dropped counter, soundness_wall_s) and version window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -338,7 +337,7 @@ TEST(ObsCorpus, TracedByteIdenticalAndThreadPermutationStable) {
   EXPECT_GT(with_soundness, 0u);
 }
 
-// --- checkpoint v3 stats fields --------------------------------------------
+// --- checkpoint stats fields -----------------------------------------------
 
 Blob small_checkpoint() {
   dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(5));
@@ -357,72 +356,6 @@ TEST(ObsCheckpoint, DeferredDroppedCounterAndWallSecondsRoundTrip) {
   EXPECT_EQ(back.stats.soundness_wall_s, 1.5);
   // Canonical round-trip still holds for current-version files.
   EXPECT_EQ(encode_checkpoint(back), b);
-}
-
-// v3 stats payload layout (persist/FORMAT.md): 27 u64 counters (with
-// deferred_dropped twelfth, at byte offset 88), then five doubles (with
-// soundness_wall_s last, at byte offset 248), then bool + two u32s.
-constexpr std::size_t kStatsV3Bytes = 32 * 8 + 1 + 4 + 4;
-constexpr std::size_t kDroppedOff = 11 * 8;
-constexpr std::size_t kWallOff = 31 * 8;
-
-Blob stats_v3_to_v2(const Blob& p) {
-  EXPECT_EQ(p.size(), kStatsV3Bytes);
-  Blob q(p.begin(), p.begin() + kDroppedOff);
-  bool dropped = false;  // v2 stored the counter as a latched bool
-  for (std::size_t i = 0; i < 8; ++i) dropped |= p[kDroppedOff + i] != 0;
-  q.push_back(dropped ? 1 : 0);
-  q.insert(q.end(), p.begin() + kDroppedOff + 8, p.begin() + kWallOff);
-  // v2 had no soundness_wall_s: skip those 8 bytes.
-  q.insert(q.end(), p.begin() + kWallOff + 8, p.end());
-  return q;
-}
-
-/// Rebuild a v3 checkpoint as the byte-exact v2 a previous writer would
-/// have produced: version field, shrunken stats section, fresh checksum.
-Blob downgrade_to_v2(const Blob& v3) {
-  CheckpointReader r(v3);
-  Writer w;
-  w.raw(reinterpret_cast<const std::uint8_t*>(kCheckpointMagic), sizeof(kCheckpointMagic));
-  w.u32(2);
-  w.u32(r.num_nodes());
-  w.u32(static_cast<std::uint32_t>(r.sections().size()));
-  w.u32(0);
-  for (const CheckpointReader::Section& s : r.sections()) {
-    Blob payload(v3.begin() + s.offset, v3.begin() + s.offset + s.len);
-    if (s.id == kSecStats) payload = stats_v3_to_v2(payload);
-    w.u32(s.id);
-    w.u32(0);
-    w.u64(payload.size());
-    w.raw(payload.data(), payload.size());
-  }
-  Blob out = std::move(w).take();
-  const Hash64 sum = hash_bytes(out.data(), out.size());
-  Writer tail;
-  tail.u64(sum);
-  out.insert(out.end(), tail.data().begin(), tail.data().end());
-  return out;
-}
-
-TEST(ObsCheckpoint, ReadsV2FilesWideningChangedStatsFields) {
-  CheckerImage img = decode_checkpoint(small_checkpoint());
-  img.stats.deferred_dropped = 7;
-  img.stats.soundness_wall_s = 1.5;
-  const Blob v2 = downgrade_to_v2(encode_checkpoint(img));
-  const CheckerImage back = decode_checkpoint(v2);
-  // The v2 bool widens to 0/1; the field v2 never stored defaults to 0.
-  EXPECT_EQ(back.stats.deferred_dropped, 1u);
-  EXPECT_EQ(back.stats.soundness_wall_s, 0.0);
-  // Everything else survives the downgrade untouched.
-  EXPECT_EQ(back.stats.transitions, img.stats.transitions);
-  EXPECT_EQ(back.stats.soundness_calls, img.stats.soundness_calls);
-  EXPECT_EQ(back.stats.deferred_processed, img.stats.deferred_processed);
-  EXPECT_EQ(back.stats.elapsed_s, img.stats.elapsed_s);
-  EXPECT_EQ(back.stats.soundness_s, img.stats.soundness_s);
-  EXPECT_EQ(back.stats.deferred_s, img.stats.deferred_s);
-  EXPECT_EQ(back.stats.completed, img.stats.completed);
-  EXPECT_EQ(back.store.total_states(), img.store.total_states());
-  EXPECT_EQ(back.net_entries.size(), img.net_entries.size());
 }
 
 // --- profiling (DESIGN.md §15) ---------------------------------------------
@@ -640,7 +573,7 @@ TEST(ObsCheckpoint, VersionsOutsideTheWindowAreRejected) {
   auto put_u64 = [](Blob& blob, std::size_t off, std::uint64_t v) {
     for (std::size_t i = 0; i < 8; ++i) blob[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
   };
-  for (std::uint32_t bad : {kMinCheckpointVersion - 1, kCheckpointVersion + 1}) {
+  for (std::uint32_t bad : {kCheckpointVersion - 1, kCheckpointVersion + 1}) {
     Blob m = b;
     put_u32(m, sizeof(kCheckpointMagic), bad);  // version field follows the magic
     put_u64(m, m.size() - 8, hash_bytes(m.data(), m.size() - 8));  // keep checksum valid

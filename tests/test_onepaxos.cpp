@@ -220,14 +220,19 @@ TEST(OnePaxos, NoViolationWithoutTheBug) {
 
   // The correct-variant space is large (cross-branch value mixes produce
   // masses of unsound preliminary violations — the regime §4.3 warns
-  // about); bound depth and time and assert there is NO false positive in
-  // everything that was checked.
+  // about); bound depth and transitions and assert there is NO false
+  // positive in everything that was checked. The first cross-branch
+  // conflicts surface at transition 106,194, whose sweep alone emits
+  // thousands of preliminary violations; the cap stops right after it.
+  constexpr std::uint64_t kCap = 106'194;
   LocalMcOptions opt;
   opt.max_total_depth = 8;
   opt.use_projection = true;
-  opt.time_budget_s = 30;
+  opt.max_transitions = kCap;
   LocalModelChecker mc(cfg, inv.get(), opt);
   mc.run(live, {});
+  EXPECT_TRUE(mc.stats().completed || mc.stats().transitions >= kCap)
+      << "the search must end on its bounds, never on the clock";
   EXPECT_EQ(mc.stats().confirmed_violations, 0u)
       << "correct init routes node 0's proposal to the real acceptor";
   EXPECT_GT(mc.stats().prelim_violations, 0u)

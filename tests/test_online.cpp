@@ -2,6 +2,8 @@
 // CrystalBall loop rediscovering the §5.5 and §5.6 bugs end-to-end.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "mc/replay.hpp"
 #include "online/crystalball.hpp"
 #include "online/live_runner.hpp"
@@ -156,12 +158,21 @@ TEST(CrystalBall, WarmStartFindsWidsBugWithFewerTransitions) {
       << "warm start must redo strictly less work than cold restarts";
   EXPECT_GT(warm_res.total_cache_hits, 0u) << "the savings come from cache replays";
 
-  // The witness anchors at the epoch soundness verified; replay it from
-  // that period's snapshot through the real handlers.
+  // The witness starts at the detecting period's snapshot; replay it from
+  // there through the real handlers.
   ReplayResult rep =
       replay_schedule(mc_cfg, warm_res.snapshot.nodes, warm_res.snapshot.in_flight,
                       warm_res.violation.witness, warm_res.events, warm_res.violation.state_hashes);
   EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+/// on_period hook asserting a period's search was never cut by the clock:
+/// it either exhausted its bounds or stopped on the transition cap.
+std::function<void(const CrystalBallPeriod&)> expect_completed_or_capped(std::uint64_t cap) {
+  return [cap](const CrystalBallPeriod& p) {
+    EXPECT_TRUE(p.stats.completed || p.transitions >= cap)
+        << "period " << p.index << " stopped after " << p.transitions << " transitions";
+  };
 }
 
 TEST(CrystalBall, CleanOnCorrectPaxos) {
@@ -170,12 +181,16 @@ TEST(CrystalBall, CleanOnCorrectPaxos) {
   auto inv = paxos::make_agreement_invariant();
   LiveRunner live(live_cfg, live_opts(1), first_enabled_driver());
 
+  // A fixed transition cap per period instead of a wall-clock budget, so the
+  // searched space does not depend on machine speed.
+  constexpr std::uint64_t kCap = 30'000;
   CrystalBallOptions opt;
   opt.period = 60;
   opt.max_live_time = 900;  // 15 checker runs
   opt.mc.max_total_depth = 14;
   opt.mc.use_projection = true;
-  opt.mc.time_budget_s = 10;
+  opt.mc.max_transitions = kCap;
+  opt.on_period = expect_completed_or_capped(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   CrystalBallResult res = cb.run();
   EXPECT_FALSE(res.found);
@@ -222,12 +237,14 @@ TEST(CrystalBall, NoBugIn1PaxosWithoutInjection) {
   auto inv = onepaxos::make_agreement_invariant();
   LiveRunner live(live_cfg, live_opts(2), fault_injecting_driver(0.1, onepaxos::kEvSuspectLeader));
 
+  constexpr std::uint64_t kCap = 30'000;  // per period; see CleanOnCorrectPaxos
   CrystalBallOptions opt;
   opt.period = 60;
   opt.max_live_time = 600;
   opt.mc.max_total_depth = 10;
   opt.mc.use_projection = true;
-  opt.mc.time_budget_s = 10;
+  opt.mc.max_transitions = kCap;
+  opt.on_period = expect_completed_or_capped(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   EXPECT_FALSE(cb.run().found);
 }

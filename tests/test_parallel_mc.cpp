@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "mc/local_mc.hpp"
 #include "mc/parallel_local_mc.hpp"
@@ -24,12 +26,29 @@ namespace {
 // WorkerPool
 
 TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.width(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // A wide job, no work, a single task, and fewer tasks than lanes.
+  const std::pair<unsigned, std::size_t> inputs[] = {{4, 257}, {4, 0}, {4, 1}, {16, 3}};
+  for (const auto& [lanes, n] : inputs) {
+    WorkerPool pool(lanes);
+    EXPECT_EQ(pool.width(), lanes);
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    std::atomic<std::size_t> calls{0};
+    pool.run(n, [&](std::size_t i) {
+      calls.fetch_add(1);
+      hits[i].fetch_add(1);
+    });
+    EXPECT_EQ(calls.load(), n) << lanes << " lanes";
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << lanes << " lanes, n = " << n;
+  }
+  // A 1-lane pool is a plain loop on the caller: strictly in index order.
+  WorkerPool one(1);
+  EXPECT_EQ(one.width(), 1u);
+  std::vector<std::size_t> order;
+  one.run(10, [&](std::size_t i) { order.push_back(i); });
+  std::vector<std::size_t> expect(10);
+  std::iota(expect.begin(), expect.end(), std::size_t{0});
+  EXPECT_EQ(order, expect);
 }
 
 TEST(WorkerPool, ReusableAcrossJobs) {
@@ -51,6 +70,10 @@ TEST(WorkerPool, WorkerExceptionRethrownOnCaller) {
                  if (i == 7) throw std::runtime_error("task 7 failed");
                }),
       std::runtime_error);
+  // The 1-lane path throws from the plain loop on the caller.
+  WorkerPool one(1);
+  EXPECT_THROW(one.run(4, [](std::size_t) { throw std::runtime_error("seq"); }),
+               std::runtime_error);
 }
 
 TEST(WorkerPool, UsableAfterException) {
@@ -94,17 +117,6 @@ TEST(WorkerPool, SecondaryExceptionsAreCountedNotLost) {
   at_barrier.store(0);
   EXPECT_THROW(pool.run(2, both_throw), std::runtime_error);
   EXPECT_EQ(pool.dropped_exceptions(), 2u);
-}
-
-TEST(ParallelFor, PropagatesExceptionsInsteadOfTerminating) {
-  EXPECT_THROW(parallel_for(32, 4,
-                            [](std::size_t i) {
-                              if (i % 2 == 0) throw std::runtime_error("even index");
-                            }),
-               std::runtime_error);
-  // threads <= 1 path throws from the plain loop.
-  EXPECT_THROW(parallel_for(4, 1, [](std::size_t) { throw std::runtime_error("seq"); }),
-               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +232,6 @@ void expect_identical_runs(const LocalModelChecker& a, const LocalModelChecker& 
     EXPECT_EQ(va.state_hashes, vb.state_hashes);
     EXPECT_EQ(va.system_state, vb.system_state);
     EXPECT_EQ(va.confirmed, vb.confirmed);
-    EXPECT_EQ(va.epoch, vb.epoch);
     ASSERT_EQ(va.witness.size(), vb.witness.size()) << "witness schedules diverged";
     for (std::size_t s = 0; s < va.witness.size(); ++s) {
       EXPECT_EQ(va.witness[s].node, vb.witness[s].node);

@@ -189,7 +189,6 @@ TEST(Persist, InspectReportsCounters) {
   EXPECT_EQ(info.total_states, mc.store().total_states());
   EXPECT_EQ(info.net_size, mc.iplus().size());
   EXPECT_EQ(info.event_count, mc.events().size());
-  EXPECT_EQ(info.epoch_count, 1u);
   EXPECT_EQ(info.transitions, mc.stats().transitions);
   EXPECT_EQ(info.sections.size(), 12u);
 }
@@ -312,7 +311,7 @@ TEST(Persist, InterruptedResumeEqualsUninterruptedCounter) {
   c.run_resumed(path);
   EXPECT_TRUE(c.stats().completed);
   expect_equal(fingerprint(a, cfg.num_nodes), fingerprint(c, cfg.num_nodes));
-  // Witnesses survive the round trip: still replayable from epoch 0.
+  // Witnesses survive the round trip: still replayable from the snapshot.
   ASSERT_FALSE(c.violations().empty());
   const LocalViolation* v = c.first_confirmed();
   ASSERT_NE(v, nullptr);
@@ -641,38 +640,6 @@ TEST(Persist, ExecCacheEvictsOldestGenerationFirst) {
   EXPECT_EQ(cache.size(), before);
   ASSERT_TRUE(cache.lookup(9, 109, out));
   EXPECT_EQ(out.state, Blob{9}) << "first insert wins";
-}
-
-TEST(Persist, WarmMergeAccumulatesEpochsAndCheckpoints) {
-  // LocalModelChecker::run_warm merges each snapshot as a new epoch into the
-  // shared LS_n / I+; the multi-epoch state must checkpoint canonically.
-  SystemConfig cfg = counter_cfg(2, 1);
-  PingLimitInvariant inv(100);
-  LocalMcOptions opt;
-  LocalModelChecker mc(cfg, &inv, opt);
-  mc.run_warm(initial_states(cfg), {});  // first call == cold run
-  ASSERT_EQ(mc.epochs().size(), 1u);
-  const std::uint64_t t0 = mc.stats().transitions;
-
-  // Second snapshot: same node states, one new in-flight message. The merge
-  // must dedup the roots, append the message, and explore only the delta.
-  Writer w;
-  w.u32(9);
-  w.u32(1);
-  Message extra{0, 1, kMsgPing, std::move(w).take()};
-  mc.run_warm(initial_states(cfg), {extra});
-  EXPECT_EQ(mc.epochs().size(), 2u);
-  EXPECT_EQ(mc.stats().warm_merges, 1u);
-  EXPECT_EQ(mc.stats().warm_root_hits, 2u) << "identical roots must be reused, not re-added";
-  EXPECT_GT(mc.stats().transitions, t0) << "the new message must be delivered";
-
-  const Blob b = mc.checkpoint_bytes();
-  EXPECT_EQ(encode_checkpoint(decode_checkpoint(b)), b);
-  EXPECT_EQ(inspect_checkpoint(b).epoch_count, 2u);
-
-  LocalModelChecker mc2(cfg, &inv, opt);
-  mc2.load_checkpoint_bytes(b);
-  expect_equal(fingerprint(mc, cfg.num_nodes), fingerprint(mc2, cfg.num_nodes));
 }
 
 }  // namespace
