@@ -26,29 +26,12 @@ namespace {
 // WorkerPool
 
 TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  // A wide job, no work, a single task, and fewer tasks than lanes.
-  const std::pair<unsigned, std::size_t> inputs[] = {{4, 257}, {4, 0}, {4, 1}, {16, 3}};
-  for (const auto& [lanes, n] : inputs) {
-    WorkerPool pool(lanes);
-    EXPECT_EQ(pool.width(), lanes);
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    std::atomic<std::size_t> calls{0};
-    pool.run(n, [&](std::size_t i) {
-      calls.fetch_add(1);
-      hits[i].fetch_add(1);
-    });
-    EXPECT_EQ(calls.load(), n) << lanes << " lanes";
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << lanes << " lanes, n = " << n;
-  }
-  // A 1-lane pool is a plain loop on the caller: strictly in index order.
-  WorkerPool one(1);
-  EXPECT_EQ(one.width(), 1u);
-  std::vector<std::size_t> order;
-  one.run(10, [&](std::size_t i) { order.push_back(i); });
-  std::vector<std::size_t> expect(10);
-  std::iota(expect.begin(), expect.end(), std::size_t{0});
-  EXPECT_EQ(order, expect);
+  WorkerPool pool(4);
+  EXPECT_EQ(pool.width(), 4u);
+  std::vector<std::atomic<int>> hits(257);
+  for (auto& h : hits) h.store(0);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(WorkerPool, ReusableAcrossJobs) {
@@ -70,10 +53,6 @@ TEST(WorkerPool, WorkerExceptionRethrownOnCaller) {
                  if (i == 7) throw std::runtime_error("task 7 failed");
                }),
       std::runtime_error);
-  // The 1-lane path throws from the plain loop on the caller.
-  WorkerPool one(1);
-  EXPECT_THROW(one.run(4, [](std::size_t) { throw std::runtime_error("seq"); }),
-               std::runtime_error);
 }
 
 TEST(WorkerPool, UsableAfterException) {
@@ -117,6 +96,58 @@ TEST(WorkerPool, SecondaryExceptionsAreCountedNotLost) {
   at_barrier.store(0);
   EXPECT_THROW(pool.run(2, both_throw), std::runtime_error);
   EXPECT_EQ(pool.dropped_exceptions(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// ParallelFor: WorkerPool::run as a parallel for loop at its edges — many
+// lanes, one lane, no or one task, more lanes than tasks, throwing tasks.
+
+TEST(ParallelFor, CoversAllIndicesOnce) {
+  WorkerPool pool(8);
+  std::vector<std::atomic<int>> hits(1000);
+  for (auto& h : hits) h.store(0);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, SingleThreadDegenerates) {
+  WorkerPool pool(1);
+  EXPECT_EQ(pool.width(), 1u);
+  std::vector<int> order;
+  pool.run(10, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  std::vector<int> expect(10);
+  std::iota(expect.begin(), expect.end(), 0);
+  EXPECT_EQ(order, expect);  // a plain loop on the caller: strictly in order
+}
+
+TEST(ParallelFor, ZeroAndOneElements) {
+  WorkerPool pool(4);
+  std::atomic<int> count{0};
+  pool.run(0, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 0);
+  pool.run(1, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ParallelFor, MoreThreadsThanWork) {
+  WorkerPool pool(16);
+  std::vector<std::atomic<int>> hits(3);
+  for (auto& h : hits) h.store(0);
+  pool.run(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, PropagatesExceptionsInsteadOfTerminating) {
+  WorkerPool pool(4);
+  EXPECT_THROW(pool.run(32,
+                        [](std::size_t i) {
+                          if (i % 2 == 0) throw std::runtime_error("even index");
+                        }),
+               std::runtime_error);
+  // The 1-lane path throws from the plain loop on the caller.
+  WorkerPool one(1);
+  EXPECT_THROW(one.run(4, [](std::size_t) { throw std::runtime_error("seq"); }),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
