@@ -43,7 +43,7 @@ constexpr double kGateFactor = 2.0;
 struct Pair {
   LocalMcStats plain;
   LocalMcStats reduced;
-  indep::PorStats por;
+  PorStats por;
   bool ok = true;
 };
 
@@ -64,7 +64,7 @@ Pair run_pair(const SystemConfig& cfg, const Invariant* inv, double budget_s,
       p.plain = mc.stats();
     } else {
       p.reduced = mc.stats();
-      p.por = mc.por_stats();
+      p.por = mc.stats().por;
     }
     p.ok = p.ok && mc.stats().completed;
   }

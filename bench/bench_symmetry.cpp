@@ -33,7 +33,7 @@ constexpr double kGateFactor = 10.0;
 struct Pair {
   LocalMcStats plain;
   LocalMcStats reduced;
-  symmetry::SymmetryStats sym;
+  SymmetryStats sym;
   bool ok = true;
 };
 
@@ -53,7 +53,7 @@ Pair run_pair(const SystemConfig& cfg, const Invariant* inv, std::uint32_t chain
       p.plain = mc.stats();
     } else {
       p.reduced = mc.stats();
-      p.sym = mc.symmetry_stats();
+      p.sym = mc.stats().sym;
     }
     p.ok = p.ok && mc.stats().completed;
   }

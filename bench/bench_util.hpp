@@ -106,7 +106,7 @@ inline LocalMcStats run_lmc(const SystemConfig& cfg, const Invariant* inv, std::
 /// Opt-in profiling for bench binaries: `--profile FILE` or
 /// `--profile-dir DIR` on the command line (or LMC_BENCH_PROFILE=FILE in the
 /// environment, for harnesses that cannot pass flags). One sink accumulates
-/// every checker run the binary performs and the "lmc-prof/1" JSONL is
+/// every checker run the binary performs and the "lmc-prof/2" JSONL is
 /// written at scope exit. sink() stays null when profiling was not
 /// requested, so the default bench run is exactly the pre-profiling binary.
 class BenchProfile {

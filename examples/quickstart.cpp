@@ -9,18 +9,18 @@
 //     Fig. 4), and the invalid "----r" combination rejected a posteriori by
 //     soundness verification.
 //
-// Build & run:   ./quickstart [--trace FILE] [--metrics FILE]
+// Build & run:   ./quickstart [--trace FILE]
 //
 // --trace FILE    write the LMC run's structured event trace ("lmc-trace/1"
-//                 JSONL) to FILE; analyze with `lmc_report FILE`.
-// --metrics FILE  write periodic metrics snapshots ("lmc-metrics/1" JSONL).
+//                 JSONL) to FILE; analyze with `lmc_report FILE`. The run's
+//                 counts and phase seconds are its LocalMcStats, printed
+//                 below.
 #include <cstdio>
 #include <cstring>
 
 #include "mc/dot_export.hpp"
 #include "mc/global_mc.hpp"
 #include "mc/local_mc.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "protocols/tree.hpp"
 
@@ -28,11 +28,8 @@ using namespace lmc;
 
 int main(int argc, char** argv) {
   const char* trace_path = nullptr;
-  const char* metrics_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
+  for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], "--trace") == 0) trace_path = argv[++i];
-    else if (std::strcmp(argv[i], "--metrics") == 0) metrics_path = argv[++i];
-  }
 
   tree::Topology topo = tree::fig2_topology();
   SystemConfig cfg = tree::make_config(topo);
@@ -53,21 +50,14 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Local model checking (LMC, this paper) ===\n");
   obs::TraceSink trace;
-  obs::MetricsSink metrics(/*interval_s=*/0.0);  // sample every round
   LocalMcOptions lopt;
   if (trace_path != nullptr) lopt.trace = &trace;
-  if (metrics_path != nullptr) lopt.metrics = &metrics;
   LocalModelChecker local(cfg, &invariant, lopt);
   local.run_from_initial();
   if (trace_path != nullptr) {
     trace.write_jsonl(trace_path);
     std::printf("  trace written         : %s (%zu events; try: lmc_report %s)\n", trace_path,
                 trace.events().size(), trace_path);
-  }
-  if (metrics_path != nullptr) {
-    metrics.write_jsonl(metrics_path);
-    std::printf("  metrics written       : %s (%zu snapshots)\n", metrics_path,
-                metrics.records().size());
   }
   const LocalMcStats& st = local.stats();
   std::printf("  node states traversed : %llu  (vs %llu global states)\n",

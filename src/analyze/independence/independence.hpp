@@ -109,18 +109,4 @@ struct PorOptions {
   std::uint32_t audit_every = 1;
 };
 
-/// Counters of the pruner (outside the pinned LocalMcStats, like
-/// SymmetryStats). Persisted in checkpoint section 14.
-struct PorStats {
-  std::uint8_t active = 0;             ///< reduction resolved on for this run
-  std::uint64_t relation_pairs = 0;    ///< size of the static relation
-  std::uint64_t pairs_pruned = 0;      ///< deliveries skipped by the pruner
-  std::uint64_t conservative_skips = 0;  ///< prune candidates rejected for
-                                         ///< missing/loop/discard outcomes
-  std::uint64_t deferrals = 0;         ///< pairs held one generation for a
-                                       ///< pred record still in flight
-  std::uint64_t audits = 0;            ///< runtime commutation audits executed
-  bool operator==(const PorStats&) const = default;
-};
-
 }  // namespace lmc::indep

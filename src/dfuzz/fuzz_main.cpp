@@ -64,7 +64,7 @@ struct Args {
   std::string artifact_dir = ".";
   std::string repro_file;
   std::string trace_dir;    ///< when set, per-seed "lmc-trace/1" JSONL files land here
-  std::string profile_dir;  ///< when set, per-seed "lmc-prof/1" JSONL files land here
+  std::string profile_dir;  ///< when set, per-seed "lmc-prof/2" JSONL files land here
   bool verbose = false;
 };
 

@@ -84,21 +84,12 @@ std::string scratch_checkpoint_path(const std::string& dir) {
 // them so two equivalent runs encode to identical checkpoint bytes.
 Blob normalized_checkpoint_bytes(const Blob& checkpoint) {
   CheckerImage img = decode_checkpoint(checkpoint);
-  img.stats.elapsed_s = 0.0;
-  img.stats.soundness_s = 0.0;
-  img.stats.system_state_s = 0.0;
-  img.stats.deferred_s = 0.0;
-  img.stats.soundness_wall_s = 0.0;
-  img.stats.stored_bytes = 0;
+  clear_attribution(img.stats);
   // Trace-segment stamps differ between a straight run (segment 0) and an
   // interrupted+resumed one (segment 1+) by design; they are attribution,
   // not exploration state.
   img.segment_id = 0;
   img.base_round = 0;
-  // The commutation-audit counter tracks the audit SETTING, not the
-  // exploration: an audited and an unaudited run of the same search differ
-  // only here.
-  img.por_stats.audits = 0;
   return encode_checkpoint(img);
 }
 
@@ -373,7 +364,7 @@ OracleReport DiffOracle::check(const SystemConfig& cfg, const Invariant* invaria
       // or the invariant is order-sensitive): nothing to compare, the run
       // was just the unreduced search again.
       rep.sym_checked = true;
-      rep.sym_orbits = s.symmetry_stats().orbits;
+      rep.sym_orbits = s.stats().sym.orbits;
       rep.sym_confirmed = s.stats().confirmed_violations;
       std::unordered_map<Hash64, std::vector<Hash64>> base_keys, sym_keys;
       for (const LocalViolation& v : l.violations())
@@ -438,13 +429,13 @@ OracleReport DiffOracle::check(const SystemConfig& cfg, const Invariant* invaria
       if (!p.stats().completed) {
         rep.conclusive = false;
         if (rep.detail.empty()) rep.detail = "POR run hit a budget; reduction not judged";
-      } else if (p.por_stats().active != 0) {
+      } else if (p.stats().por.active != 0) {
         // active == 0 = the reduction never resolved on (no footprints or an
         // empty relation): the run was just the unreduced search again.
         rep.por_checked = true;
-        rep.por_relation_pairs = p.por_stats().relation_pairs;
-        rep.por_pruned = p.por_stats().pairs_pruned;
-        rep.por_audits = p.por_stats().audits;
+        rep.por_relation_pairs = p.stats().por.relation_pairs;
+        rep.por_pruned = p.stats().por.pairs_pruned;
+        rep.por_audits = p.stats().por.audits;
         rep.por_confirmed = p.stats().confirmed_violations;
         std::unordered_map<Hash64, std::vector<Hash64>> base_t, por_t;
         for (const LocalViolation& v : l.violations())

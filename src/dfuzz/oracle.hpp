@@ -119,9 +119,9 @@ enum class OracleFailure {
 
 const char* to_string(OracleFailure f);
 
-/// Decode a checkpoint, zero the wall-clock/allocator-dependent stats
-/// (elapsed/soundness/system-state/deferred seconds, stored bytes) and
-/// re-encode: two runs explored identically iff these bytes are equal.
+/// Decode a checkpoint, zero the stats that describe the machine rather
+/// than the exploration (clear_attribution) and the trace-segment stamps,
+/// and re-encode: two runs explored identically iff these bytes are equal.
 Blob normalized_checkpoint_bytes(const Blob& checkpoint);
 
 struct OracleReport {

@@ -19,7 +19,7 @@
 //     --audit-every K    oracle: sampled soundness audit of reachable tuples
 //     --audit-validity   audit handler executions (ModelValidityAuditor)
 //     --trace FILE       write an "lmc-trace/1" JSONL of the base exploration
-//     --profile FILE     write an "lmc-prof/1" JSONL profile of the base
+//     --profile FILE     write an "lmc-prof/2" JSONL profile of the base
 //                        exploration (per-rule costs; lmc_report --profile)
 //
 // The base run explores from the protocol's initial states and enforces the

@@ -7,7 +7,6 @@
 #include "analyze/independence/auditor.hpp"
 #include "mc/clock.hpp"
 #include "mc/parallel_local_mc.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "persist/exec_cache.hpp"
@@ -104,7 +103,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     NodeStateRec rec;
     rec.blob = nodes[n];
     rec.hash = hash_blob(rec.blob);
-    LMC_PROF(opt_.profile, count(obs::Counter::kBytesHashed, rec.blob.size()));
     rec.depth = 0;
     const Hash64 root_hash = rec.hash;
     store_.add(n, std::move(rec));  // LS_n[0]: the snapshot state
@@ -151,7 +149,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
 //    exploration with max_chain_depth instead (bench_symmetry does).
 void LocalModelChecker::resolve_symmetry() {
   canon_.reset();
-  sym_stats_ = symmetry::SymmetryStats{};
+  stats_.sym = SymmetryStats{};
   const symmetry::SymmetryOptions& so = opt_.symmetry;
   if (so.mode == symmetry::SymmetryMode::kOff || invariant_ == nullptr) return;
   if (!opt_.enable_system_states) return;
@@ -169,16 +167,13 @@ void LocalModelChecker::resolve_symmetry() {
   }
   if (kept.empty()) return;
   canon_ = std::make_unique<symmetry::Canonicalizer>(std::move(kept), cfg_.num_nodes);
-  sym_stats_.active = 1;
-  sym_stats_.classes = static_cast<std::uint32_t>(canon_->classes().size());
+  stats_.sym.active = 1;
+  stats_.sym.classes = static_cast<std::uint32_t>(canon_->classes().size());
   // Seed the universes from whatever the store already holds: the snapshot
   // states on a fresh run, the full store on checkpoint load.
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     const std::uint32_t cnt = store_.size(n);
-    for (std::uint32_t i = 0; i < cnt; ++i) {
-      canon_->add_state(n, store_.rec(n, i).hash);
-      LMC_PROF(opt_.profile, count(obs::Counter::kStatesCanonicalized));
-    }
+    for (std::uint32_t i = 0; i < cnt; ++i) canon_->add_state(n, store_.rec(n, i).hash);
   }
 }
 
@@ -199,7 +194,7 @@ void LocalModelChecker::resolve_symmetry() {
 void LocalModelChecker::resolve_por() {
   por_rel_.reset();
   por_loop_sends_ok_ = false;
-  por_stats_ = indep::PorStats{};
+  stats_.por = PorStats{};
   if (opt_.por.mode != indep::PorMode::kOn) return;
   if (cfg_.footprints == nullptr) return;
   if (opt_.max_total_depth != std::numeric_limits<std::uint32_t>::max()) return;
@@ -213,10 +208,10 @@ void LocalModelChecker::resolve_por() {
     for (const RuleFootprint& rf : nf.rules)
       for (const FieldAccess& w : rf.writes)
         if (w.merge != MergeKind::kNone) por_loop_sends_ok_ = false;
-  por_stats_.active = 1;
-  por_stats_.relation_pairs = por_rel_->size();
+  stats_.por.active = 1;
+  stats_.por.relation_pairs = por_rel_->size();
   LMC_TRACE(opt_.trace, record(tev(EventType::kPorResolve, obs::Phase::kRun, cur_round_,
-                                   por_stats_.relation_pairs, por_rel_->digest(),
+                                   stats_.por.relation_pairs, por_rel_->digest(),
                                    res.unclassifiable)));
 }
 
@@ -242,7 +237,7 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
       if (por_rel_ != nullptr &&
           try_prune_por(e, t.node, t.state_idx, rec, /*allow_defer=*/false) ==
               PruneVerdict::kPrune) {
-        ++por_stats_.pairs_pruned;
+        ++stats_.por.pairs_pruned;
         ++round_pruned;
         continue;
       }
@@ -268,14 +263,13 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
       if (por_rel_ != nullptr) {
         const PruneVerdict v = try_prune_por(e, d, idx, rec, /*allow_defer=*/true);
         if (v == PruneVerdict::kPrune) {
-          ++por_stats_.pairs_pruned;
+          ++stats_.por.pairs_pruned;
           ++round_pruned;
           continue;
         }
         if (v == PruneVerdict::kDefer) {
           por_deferred_.push_back(Task{true, i, d, idx});
-          ++por_stats_.deferrals;
-          LMC_PROF(opt_.profile, count(obs::Counter::kPorDeferrals));
+          ++stats_.por.deferrals;
           continue;
         }
       }
@@ -284,12 +278,10 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
     }
     e.next_state = limit;
   }
-  if (round_pruned > 0) {
-    LMC_PROF(opt_.profile, count(obs::Counter::kPorPrunes, round_pruned));
+  if (round_pruned > 0)
     LMC_TRACE(opt_.trace, record(tev(EventType::kPorPrune, obs::Phase::kExplore, cur_round_,
-                                     round_pruned, por_stats_.pairs_pruned,
-                                     por_stats_.conservative_skips)));
-  }
+                                     round_pruned, stats_.por.pairs_pruned,
+                                     stats_.por.conservative_skips)));
 
   // Internal events: scan states added since the last generation.
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
@@ -361,7 +353,7 @@ LocalModelChecker::PruneVerdict LocalModelChecker::try_prune_por(const Monotonic
   for (const Pred& pr : rec.preds) {
     auto eit = events_.find(pr.ev_hash);
     if (eit == events_.end()) {
-      ++por_stats_.conservative_skips;
+      ++stats_.por.conservative_skips;
       continue;
     }
     const EventRecord& er = eit->second;
@@ -373,7 +365,7 @@ LocalModelChecker::PruneVerdict LocalModelChecker::try_prune_por(const Monotonic
       if (allow_defer)
         record_in_flight = true;  // counted as a skip only on the final pass
       else
-        ++por_stats_.conservative_skips;
+        ++stats_.por.conservative_skips;
       continue;
     }
     bool prune = false;
@@ -390,14 +382,14 @@ LocalModelChecker::PruneVerdict LocalModelChecker::try_prune_por(const Monotonic
       }
       case FwdOutcome::kLoopSends:
         prune = por_loop_sends_ok_;
-        if (!prune) ++por_stats_.conservative_skips;
+        if (!prune) ++stats_.por.conservative_skips;
         break;
       case FwdOutcome::kPruned:
         prune = store_.rec(d, pr.pred_idx).depth < rec.depth;
-        if (!prune) ++por_stats_.conservative_skips;
+        if (!prune) ++stats_.por.conservative_skips;
         break;
       case FwdOutcome::kDiscard:
-        ++por_stats_.conservative_skips;
+        ++stats_.por.conservative_skips;
         break;
     }
     if (!prune) continue;
@@ -419,7 +411,7 @@ LocalModelChecker::PruneVerdict LocalModelChecker::try_prune_por(const Monotonic
         b.is_message = true;
         b.msg = e.msg;
         indep::audit_commutation(cfg_, d, store_.rec(d, pr.pred_idx).blob, a, b);
-        ++por_stats_.audits;
+        ++stats_.por.audits;
       }
     }
     record_fwd(d, rec_idx, e.hash, FwdOutcome::kPruned, 0);
@@ -436,10 +428,10 @@ void LocalModelChecker::record_fwd(NodeId n, std::uint32_t pred_idx, Hash64 ev_h
 // The pipeline worker body: run the handler(s) of one task against
 // immutable published data (the record's blob/hash and the I+ entry's
 // msg/hash are write-once; the applier only ever mutates OTHER fields).
-// With an exec cache attached the worker probes with the counter-free
-// peek() and skips execution on a hit — the applier finalizes the cached
-// verdict (and the hit/miss counters) authoritatively at consume time, so
-// counters and results never depend on worker timing.
+// With an exec cache attached the worker probes with peek() and skips
+// execution on a hit — the applier finalizes the cached verdict
+// authoritatively at consume time, so results never depend on worker
+// timing.
 std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task& t) {
   std::vector<Exec> out;
   ExecCache* const cache = opt_.exec_cache;
@@ -495,24 +487,15 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   // Finalize the exec-cache verdict authoritatively on the applier, in
   // consume order: within a run every (event, state) pair executes at most
   // once (cursor discipline), so this lookup hits exactly when an EARLIER
-  // run inserted the pair — the same verdict a serial run computes — and
-  // the hit/miss counters are bumped exactly once per pair. The worker's
-  // speculative peek() only decided whether to bother executing.
+  // run inserted the pair — the same verdict a serial run computes. The
+  // worker's speculative peek() only decided whether to bother executing.
   if (ExecCache* const cache = opt_.exec_cache; cache != nullptr) {
     const NodeStateRec& pred0 = store_.rec(e.node, e.pred_idx);
     ExecResult replay;
     if (cache->lookup(e.ev_hash, pred0.hash, replay)) {
       e.cached = true;
       e.result = std::move(replay);
-      if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
-        psink->count(obs::Counter::kExecCacheHits);
-        psink->count_shard(ExecCache::shard_index(e.ev_hash, pred0.hash), true);
-      }
     } else {
-      if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
-        psink->count(obs::Counter::kExecCacheMisses);
-        psink->count_shard(ExecCache::shard_index(e.ev_hash, pred0.hash), false);
-      }
       if (e.peek_hit) {
         // The worker's peek saw the pair but a generation rotation evicted
         // it before consumption: execute here (rare; still audited).
@@ -561,9 +544,6 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
                           opt_.assert_policy == LocalMcOptions::AssertPolicy::DiscardState;
     const std::uint64_t hash_bytes = discards ? 0 : e.result.state.size();
     psink->rule(rk, e.cached, ser, hash_bytes, e.exec_s);
-    psink->count(e.cached ? obs::Counter::kCachedReplays : obs::Counter::kHandlerRuns);
-    psink->count(obs::Counter::kBytesSerialized, ser);
-    psink->count(obs::Counter::kBytesHashed, hash_bytes);
   }
   // A cached replay is not a handler execution: it is exactly the work the
   // warm start avoided. Everything downstream treats it identically.
@@ -664,10 +644,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   const std::uint32_t idx = store_.add(e.node, std::move(rec));
   if (por_rel_ != nullptr && e.is_message)
     record_fwd(e.node, e.pred_idx, e.ev_hash, FwdOutcome::kSucc, idx);
-  if (canon_ != nullptr) {
-    canon_->add_state(e.node, h2);
-    LMC_PROF(opt_.profile, count(obs::Counter::kStatesCanonicalized));
-  }
+  if (canon_ != nullptr) canon_->add_state(e.node, h2);
   ++stats_.node_states;
   stats_.max_chain_depth_reached = std::max(stats_.max_chain_depth_reached, pred.depth + 1);
   apply_ev(0);
@@ -687,7 +664,6 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
     check_combinations(e.node, idx);
     const double dt = now_s() - t0;
     stats_.system_state_s += dt;
-    LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
     LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
                                      /*site=*/0, stats_.system_states - pre_ss,
                                      stats_.prelim_violations - pre_pv, dt, e.node)));
@@ -807,7 +783,6 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
   };
   std::vector<Outcome> out(jobs.size());
   obs::TraceSink* const tsink = opt_.trace;
-  obs::ProfileSink* const psink = opt_.profile;
   const obs::Phase tphase = phase2 ? obs::Phase::kDrain : obs::Phase::kSoundness;
   const double wall_t0 = now_s();
 
@@ -891,10 +866,6 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
         tsink->record_worker(tev(EventType::kSoundnessRun, tphase, cur_round_,
                                  static_cast<std::uint64_t>(o.kind), 0, phase2 ? 1 : 0, o.secs,
                                  TraceEvent::kNoNode, i));
-      if (psink != nullptr) {
-        psink->count_worker(obs::Counter::kSoundnessJobs);
-        psink->time_worker(tphase, o.secs);
-      }
       return;
     }
     // Per-member pre-check: a combination whose members cannot
@@ -923,13 +894,8 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       tsink->record_worker(tev(EventType::kSoundnessRun, tphase, cur_round_,
                                static_cast<std::uint64_t>(o.kind), 0, phase2 ? 1 : 0, o.secs,
                                TraceEvent::kNoNode, i));
-    if (psink != nullptr) {
-      psink->count_worker(obs::Counter::kSoundnessJobs);
-      psink->time_worker(tphase, o.secs);
-    }
   });
   if (tsink != nullptr) tsink->drain_workers();
-  if (psink != nullptr) psink->drain_workers();
 
   // Deterministic merge in enumeration/queue order: counters, the deferred
   // queue and confirmed violations come out identical for any thread count.
@@ -948,7 +914,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       ++stats_.deferred_processed;
     else
       ++stats_.prelim_violations;
-    if (jobs[i].sym) sym_stats_.assignments_tried += o.tried;
+    if (jobs[i].sym) stats_.sym.assignments_tried += o.tried;
     // During exploration, every non-sound verdict is PROVISIONAL: the store
     // is still growing, and a predecessor edge recorded later (another
     // message reaching an already-deduplicated state) can turn an unsound
@@ -1009,7 +975,6 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
   // counterpart to the AGGREGATE soundness_s summed across workers above.
   const double wall_dt = now_s() - wall_t0;
   stats_.soundness_wall_s += wall_dt;
-  LMC_PROF(psink, phase_wall(tphase, wall_dt));
   LMC_TRACE(tsink, record(tev(EventType::kSoundnessPhase, tphase, cur_round_, jobs.size(),
                               phase2 ? 1 : 0, 0, wall_dt)));
 }
@@ -1067,7 +1032,6 @@ void LocalModelChecker::check_snapshot_combination() {
     sym_consider(combo, counts, ctx);
     const double dt = now_s() - t0;
     stats_.system_state_s += dt;
-    LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
     LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
                                      /*site=*/2, stats_.system_states - pre_ss,
                                      stats_.prelim_violations - pre_pv, dt)));
@@ -1083,7 +1047,6 @@ void LocalModelChecker::check_snapshot_combination() {
   }
   const double dt = now_s() - t0;
   stats_.system_state_s += dt;
-  LMC_PROF(opt_.profile, phase_wall(obs::Phase::kSweep, dt));
   LMC_TRACE(opt_.trace, record(tev(EventType::kComboSweep, obs::Phase::kSweep, cur_round_,
                                    /*site=*/2, stats_.system_states - pre_ss,
                                    stats_.prelim_violations - pre_pv, dt)));
@@ -1299,8 +1262,7 @@ bool LocalModelChecker::sym_consider(std::vector<std::uint32_t>& combo,
   for (NodeId m : canon_->free_nodes()) fixed.emplace_back(m, store_.rec(m, combo[m]).hash);
   const Hash64 key = canon_->orbit_key(fixed, counts);
   if (canon_->seen_or_mark(key)) {
-    ++sym_stats_.orbit_hits;
-    LMC_PROF(opt_.profile, count(obs::Counter::kOrbitCollapses));
+    ++stats_.sym.orbit_hits;
     return true;
   }
   if (ctx.cap == 0) {
@@ -1313,8 +1275,8 @@ bool LocalModelChecker::sym_consider(std::vector<std::uint32_t>& combo,
   --ctx.cap;
   ++stats_.system_states;  // counts ORBITS while the reduction is active
   ++stats_.invariant_checks;
-  ++sym_stats_.orbits;
-  sym_stats_.represented = symmetry::sat_add(sym_stats_.represented, canon_->orbit_size(counts));
+  ++stats_.sym.orbits;
+  stats_.sym.represented = symmetry::sat_add(stats_.sym.represented, canon_->orbit_size(counts));
 
   // Deterministic representative: lexicographically first perfect
   // assignment per class. The invariant is position-symmetric within each
@@ -1344,7 +1306,7 @@ bool LocalModelChecker::sym_consider(std::vector<std::uint32_t>& combo,
       d.sym = true;
       deferred_.push_back(std::move(d));
       ++stats_.soundness_deferred;
-      ++sym_stats_.orbit_defers;
+      ++stats_.sym.orbit_defers;
     } else {
       ++stats_.deferred_dropped;
     }
@@ -1395,42 +1357,6 @@ void LocalModelChecker::sweep_sym(NodeId n, std::uint32_t idx) {
     return true;
   };
   rec_free(rec_free, 0);
-}
-
-void LocalModelChecker::metrics_sample(const char* where, std::uint64_t frontier, bool force) {
-  obs::MetricsSink* const ms = opt_.metrics;
-  if (ms == nullptr) return;
-  obs::MetricsSnapshot snap;
-  snap.where = where;
-  snap.round = cur_round_;
-  snap.transitions = stats_.transitions;
-  snap.states_total = stats_.node_states;
-  snap.iplus_total = net_.size();
-  snap.frontier = frontier;
-  snap.deferred_depth = deferred_.size();
-  // The ExecCache hit rate over handler work: cached replays vs executions.
-  snap.exec_hits = stats_.warm_pairs_skipped;
-  snap.exec_misses = stats_.transitions;
-  snap.combos = stats_.system_states;
-  snap.prelim = stats_.prelim_violations;
-  snap.confirmed = stats_.confirmed_violations;
-  snap.sym_orbits = sym_stats_.orbits;
-  snap.sym_orbit_hits = sym_stats_.orbit_hits;
-  snap.sym_represented = sym_stats_.represented;
-  snap.por_pruned = por_stats_.pairs_pruned;
-  snap.por_deferred = por_stats_.deferrals;
-  const double elapsed = base_elapsed_s_ + (now_s() - run_t0_);
-  snap.sweep_s = stats_.system_state_s;
-  snap.soundness_wall_s = stats_.soundness_wall_s;
-  snap.deferred_s = stats_.deferred_s;
-  // Exploration wall time is what is left of elapsed once the (serialized)
-  // sweep and drain windows are taken out; soundness phase 1 runs inside
-  // the sweep window, so it is not subtracted again.
-  snap.explore_s = std::max(0.0, elapsed - stats_.system_state_s - stats_.deferred_s);
-  if (force)
-    ms->force(snap);
-  else
-    ms->tick(snap);
 }
 
 void LocalModelChecker::refresh_memory_stats() {
@@ -1497,11 +1423,7 @@ void LocalModelChecker::explore_stream() {
     LMC_TRACE(opt_.trace, record(tev(EventType::kRunEnd, obs::Phase::kRun, cur_round_,
                                      stats_.transitions, stats_.confirmed_violations,
                                      stats_.completed ? 1 : 0, stats_.elapsed_s)));
-    if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
-      psink->note_threads(opt_.num_threads);
-      psink->run_wall(stats_.elapsed_s);
-    }
-    metrics_sample("end", 0, /*force=*/true);
+    LMC_PROF(opt_.profile, add_run(stats_, opt_.num_threads));
   };
 
   // A run that starts already over budget (e.g. resumed from a checkpoint
@@ -1564,7 +1486,6 @@ void LocalModelChecker::explore_stream() {
     LMC_TRACE(opt_.trace, record(tev(EventType::kRoundEnd, obs::Phase::kRun, cur_round_,
                                      published, stats_.node_states, net_.size(),
                                      now_s() - t0)));
-    metrics_sample("round", published, /*force=*/false);
   };
 
   // Resume path: finish the generation that was interrupted (its cursors
@@ -1604,7 +1525,6 @@ void LocalModelChecker::run(const std::vector<Blob>& nodes,
   LMC_TRACE(opt_.trace, record(tev(EventType::kRunBegin, obs::Phase::kRun, 0, /*mode=*/0, 0,
                                    opt_.num_threads, 0.0, TraceEvent::kNoNode, segment_id_)));
   init_run(nodes, in_flight);
-  metrics_sample("begin", 0, /*force=*/true);
   check_snapshot_combination();
   explore_stream();
 }
@@ -1658,13 +1578,11 @@ CheckerImage LocalModelChecker::make_image() const {
   }
   if (canon_ != nullptr) {
     img.has_symmetry = true;
-    img.sym_stats = sym_stats_;
     img.sym_seen = canon_->seen_sorted();
   }
   if (por_rel_ != nullptr) {
     img.has_por = true;
     img.por_digest = por_rel_->digest();
-    img.por_stats = por_stats_;
     // Only kNoop/kDiscard/kPruned outcomes are serialized: kSucc/kLoopSends
     // are rebuilt from preds/self_loops on load. Sorted for canonical bytes.
     img.por_entries.resize(cfg_.num_nodes);
@@ -1758,10 +1676,7 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
     throw CheckpointError("checkpoint symmetry mode mismatch (file " +
                           std::string(img.has_symmetry ? "on" : "off") + ", options resolve to " +
                           std::string(canon_ != nullptr ? "on" : "off") + ")");
-  if (canon_ != nullptr) {
-    canon_->restore_seen(img.sym_seen);
-    sym_stats_ = img.sym_stats;
-  }
+  if (canon_ != nullptr) canon_->restore_seen(img.sym_seen);
   // Re-resolve the reduction, then rebuild the forward map: kSucc from pred
   // edges, kLoopSends from self-loops, and the persisted kNoop/kDiscard/
   // kPruned entries (section 14) on top — the result is byte-for-byte the
@@ -1802,8 +1717,10 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
     for (const PendingTask& t : img.por_deferred)
       por_deferred_.push_back(
           Task{true, static_cast<std::size_t>(t.net_idx), t.node, t.state_idx});
-    por_stats_ = img.por_stats;
   }
+  // The resolves above reset the reduction stats; the file's are the run's.
+  stats_.sym = img.stats.sym;
+  stats_.por = img.stats.por;
   clear_feas_cache();
   combo_probe_ = 0;
   // Trace continuity across resumes: rounds continue from the checkpoint's

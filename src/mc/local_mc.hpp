@@ -58,8 +58,6 @@ class ExecCache;
 namespace obs {
 class TraceSink;
 class ProfileSink;
-class MetricsSink;
-struct MetricsSnapshot;
 }  // namespace obs
 
 struct LocalMcOptions {
@@ -135,21 +133,16 @@ struct LocalMcOptions {
   /// instead of restarting at 0.
   obs::TraceSink* trace = nullptr;
 
-  /// Deep performance profiling (obs/prof.hpp, DESIGN.md §15). nullptr (the
-  /// default) disables it at the cost of a null-pointer test per call site.
-  /// The profile's identity aggregates (typed counters, per-shard ExecCache
-  /// hits/misses, per-rule run/byte ledgers) are a pure function of the
-  /// exploration — byte-identical at any num_threads — while wall seconds
-  /// and time histograms are attribution. Like the trace sink it is
-  /// runtime-only state, never serialized to checkpoints, and attaching it
-  /// never perturbs exploration results.
+  /// Per-rule profiling (obs/prof.hpp, DESIGN.md §15). nullptr (the
+  /// default) disables it at the cost of a null-pointer test per applied
+  /// handler execution. The sink records each rule's run/byte ledger and
+  /// handler-time histogram, and folds in this run's stats when it ends.
+  /// The ledger's counts are a pure function of the exploration —
+  /// byte-identical at any num_threads — while wall seconds and
+  /// histograms are attribution. Like the trace sink it is runtime-only
+  /// state, never serialized to checkpoints, and attaching it never
+  /// perturbs exploration results.
   obs::ProfileSink* profile = nullptr;
-
-  /// Heartbeat metrics (obs/metrics.hpp). nullptr disables. The checker
-  /// offers a snapshot at round boundaries and run book-ends; the sink's
-  /// interval decides what is recorded. Attribution only — never affects
-  /// exploration.
-  obs::MetricsSink* metrics = nullptr;
 
   /// ModelValidityAuditor (runtime/audit.hpp): audit every non-cached
   /// handler execution for determinism, round-trip identity and hidden
@@ -180,7 +173,7 @@ struct LocalMcOptions {
   /// (SystemConfig::footprints), unbounded max_total_depth AND
   /// max_chain_depth (recorded depths are path-dependent under pruning —
   /// see resolve_por) and a non-empty derived relation;
-  /// otherwise the run silently stays unreduced (PorStats::active == 0).
+  /// otherwise the run silently stays unreduced (stats().por.active == 0).
   /// Composes with `symmetry`: POR thins phase-1 deliveries, symmetry
   /// collapses the combination sweep — independent mechanisms.
   indep::PorOptions por;
@@ -212,12 +205,12 @@ class LocalModelChecker {
   void load_checkpoint_bytes(const Blob& data);
 
   const LocalMcStats& stats() const { return stats_; }
-  /// Handler executions audited under audit_validity. Runtime-only (NOT in
-  /// LocalMcStats: that struct is pinned by the checkpoint format).
+  /// Handler executions audited under audit_validity. Counted by the
+  /// workers that run the audits, so it is a runtime atomic, not a stat.
   std::uint64_t audits_performed() const { return audits_performed_.load(std::memory_order_relaxed); }
   /// Worker exceptions beyond the first (rethrown) one of a failing fan-out
   /// — counted instead of silently lost, across both the phase-1 pipeline
-  /// and the phase-2 WorkerPool. Runtime-only (NOT in LocalMcStats); also
+  /// and the phase-2 WorkerPool. A runtime count, not a stat; also
   /// surfaced as kWorkerError trace events and in lmc_report.
   std::uint64_t worker_exceptions_dropped() const {
     return pipeline_dropped_ + (pool_ ? pool_->dropped_exceptions() : 0);
@@ -236,14 +229,6 @@ class LocalModelChecker {
   std::vector<std::vector<NodeId>> symmetry_classes() const {
     return canon_ != nullptr ? canon_->classes() : std::vector<std::vector<NodeId>>{};
   }
-  /// Reduction counters (zero when inactive). Runtime + checkpoint section
-  /// 13 — deliberately NOT part of LocalMcStats (pinned layout).
-  const symmetry::SymmetryStats& symmetry_stats() const { return sym_stats_; }
-
-  /// Partial-order reduction counters (PorStats::active == 0 when the
-  /// reduction did not resolve). Runtime + checkpoint section 14 —
-  /// deliberately NOT part of LocalMcStats (pinned layout).
-  const indep::PorStats& por_stats() const { return por_stats_; }
   /// The independence relation driving the reduction; null when inactive.
   const indep::IndependenceRelation* por_relation() const { return por_rel_.get(); }
 
@@ -374,7 +359,6 @@ class LocalModelChecker {
   /// Resolved symmetry context (classes, universes, orbit seen-set); null
   /// when the reduction is inactive. Rebuilt by resolve_symmetry.
   std::unique_ptr<symmetry::Canonicalizer> canon_;
-  symmetry::SymmetryStats sym_stats_;
 
   // --- partial-order reduction (analyze/independence/, DESIGN.md §14) -----
   /// Outcome of one historical message delivery at (node, pred state): the
@@ -425,7 +409,6 @@ class LocalModelChecker {
   /// identical traffic that the monotone I+ dedups (DESIGN.md §14).
   /// Derived from the config in resolve_por — never persisted.
   bool por_loop_sends_ok_ = false;
-  indep::PorStats por_stats_;
   /// Per node: delivery outcomes keyed by (pred state idx, message hash).
   /// kSucc/kLoopSends are reconstructible from preds/self_loops on
   /// checkpoint load; kNoop/kDiscard/kPruned leave no store trace and are
@@ -451,14 +434,13 @@ class LocalModelChecker {
   double base_elapsed_s_ = 0.0;       ///< elapsed_s carried over from prior runs
   double run_t0_ = 0.0;               ///< wall start of the current run segment
   double last_checkpoint_s_ = 0.0;
-  /// Round (task-generation) counter for trace/metrics attribution. Stamped
+  /// Round (task-generation) counter for trace attribution. Stamped
   /// into checkpoints (kSecSegment) so a resumed segment's trace continues
   /// the original numbering instead of restarting at 0.
   std::uint32_t cur_round_ = 0;
   /// Trace segment id: 0 for a fresh run, +1 per resume (kRunBegin.seq).
   /// Stamped into checkpoints alongside the round counter.
   std::uint64_t segment_id_ = 0;
-  void metrics_sample(const char* where, std::uint64_t frontier, bool force);
 
   /// Message hashes each node's recorded transitions can generate; feeds
   /// the per-member feasibility pre-check (see SoundnessVerifier).

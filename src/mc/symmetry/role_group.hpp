@@ -38,20 +38,6 @@ struct SymmetryOptions {
   std::vector<std::vector<NodeId>> classes;
 };
 
-/// Reduction-side counters, kept separate from LocalMcStats (whose layout
-/// is pinned by the checkpoint format). Persisted in checkpoint section 13.
-struct SymmetryStats {
-  std::uint64_t orbits = 0;            ///< canonical combinations materialized
-  std::uint64_t orbit_hits = 0;        ///< enumeration re-reached a seen orbit
-  std::uint64_t represented = 0;       ///< saturating sum of orbit sizes
-  std::uint64_t assignments_tried = 0; ///< concrete assignments expanded in phase 2
-  std::uint64_t orbit_defers = 0;      ///< violating orbits queued for the drain
-  std::uint32_t classes = 0;           ///< number of active classes this run
-  std::uint8_t active = 0;             ///< reduction resolved to on
-
-  bool operator==(const SymmetryStats&) const = default;
-};
-
 // ---------------------------------------------------------------------------
 // Rule-table signatures for automatic class inference.
 // ---------------------------------------------------------------------------

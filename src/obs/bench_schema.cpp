@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
@@ -116,12 +115,7 @@ bool validate_obs_line(const std::string& line, std::string* err) {
     if (!parse_jsonl_line(line, ev)) return fail("malformed lmc-trace/1 event");
     return true;
   }
-  if (schema->str == "lmc-metrics/1") {
-    MetricsRecord rec;
-    if (!parse_jsonl_line(line, rec)) return fail("malformed lmc-metrics/1 record");
-    return true;
-  }
-  if (schema->str == "lmc-prof/1") return validate_prof_value(v, err);
+  if (schema->str == "lmc-prof/2") return validate_prof_value(v, err);
   return fail("unknown schema \"" + schema->str + "\"");
 }
 

@@ -50,7 +50,7 @@ class BenchRecord {
 bool validate_bench_record(const JsonValue& v, std::string* err);
 
 /// Validate one JSONL line against whichever obs schema it declares
-/// ("lmc-bench/1", "lmc-trace/1", "lmc-metrics/1" or "lmc-prof/1"). Lines
+/// ("lmc-bench/1", "lmc-trace/1" or "lmc-prof/2"). Lines
 /// without a "schema" key are rejected.
 bool validate_obs_line(const std::string& line, std::string* err);
 

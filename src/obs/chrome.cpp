@@ -31,9 +31,7 @@ std::string meta_thread(std::uint32_t tid, const std::string& name) {
 
 }  // namespace
 
-std::string chrome_trace_json(const std::vector<TraceEvent>& events,
-                              const std::vector<MetricsRecord>& metrics,
-                              const ProfileData* prof) {
+std::string chrome_trace_json(const std::vector<TraceEvent>& events, const ProfileData* prof) {
   std::string out = "{\"traceEvents\":[\n";
   bool first = true;
 
@@ -73,37 +71,28 @@ std::string chrome_trace_json(const std::vector<TraceEvent>& events,
     s += ",\"c\":" + std::to_string(ev.c);
     s += "}}";
     append_event(out, first, s);
-  }
-
-  for (const MetricsRecord& rec : metrics) {
-    if (rec.t > last_t) last_t = rec.t;
-    std::string s = "{\"ph\":\"C\",\"name\":\"progress\",\"pid\":1,\"tid\":0";
-    s += ",\"ts\":" + usec(rec.t);
-    s += ",\"args\":{\"transitions\":" + std::to_string(rec.snap.transitions);
-    s += ",\"states\":" + std::to_string(rec.snap.states_total);
-    s += ",\"iplus\":" + std::to_string(rec.snap.iplus_total);
-    s += ",\"deferred\":" + std::to_string(rec.snap.deferred_depth);
-    s += "}}";
-    append_event(out, first, s);
-    std::string r = "{\"ph\":\"C\",\"name\":\"rates\",\"pid\":1,\"tid\":0";
-    r += ",\"ts\":" + usec(rec.t);
-    r += ",\"args\":{\"states_per_s\":" + json_double(rec.states_per_s);
-    r += ",\"iplus_per_s\":" + json_double(rec.iplus_per_s);
-    r += ",\"exec_hit_rate\":" + json_double(rec.exec_hit_rate);
-    r += "}}";
-    append_event(out, first, r);
+    if (is_round_span) {
+      // Progress track: the round's end time, node states and I+ size.
+      std::string p = "{\"ph\":\"C\",\"name\":\"progress\",\"pid\":1,\"tid\":0";
+      p += ",\"ts\":" + usec(ev.t);
+      p += ",\"args\":{\"states\":" + std::to_string(ev.b);
+      p += ",\"iplus\":" + std::to_string(ev.c);
+      p += "}}";
+      append_event(out, first, p);
+    }
   }
 
   if (prof != nullptr) {
-    // The profile has no timestamps of its own: emit its counter registry as
-    // one final "C" sample so the totals show up as tracks.
+    // The profile has no timestamps of its own: emit its summed stats as one
+    // final "C" sample so the totals show up as tracks.
     std::string s = "{\"ph\":\"C\",\"name\":\"profile\",\"pid\":1,\"tid\":0";
     s += ",\"ts\":" + usec(last_t);
     s += ",\"args\":{";
-    for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount); ++i) {
-      if (i != 0) s += ',';
-      s += json_quote(to_string(static_cast<Counter>(i)));
-      s += ':' + std::to_string(prof->counters[i]);
+    bool first_arg = true;
+    for (const auto& [name, value] : stat_json_fields(prof->stats)) {
+      if (!first_arg) s += ',';
+      first_arg = false;
+      s += json_quote(name) + ':' + value;
     }
     s += "}}";
     append_event(out, first, s);

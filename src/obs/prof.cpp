@@ -1,11 +1,12 @@
 #include "obs/prof.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 
 #include "obs/json.hpp"
 
@@ -13,39 +14,37 @@ namespace lmc::obs {
 
 namespace {
 
-std::uint64_t next_sink_uid() {
-  // Shares nothing with the trace sink's counter: each class keys its own
-  // thread-local lane cache.
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+constexpr const char* kSchema = "lmc-prof/2";
+
+/// Read a stat line's value into `out`; false when it is not a number or
+/// does not fit the field's type.
+template <class T>
+bool stat_value(const JsonValue& v, T& out) {
+  if (!v.is_number()) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    out = v.as_double();
+  } else {
+    const std::uint64_t u = v.as_u64();
+    if (u > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) return false;
+    out = static_cast<T>(u);
+  }
+  return true;
 }
 
-constexpr std::size_t kCounterCount = static_cast<std::size_t>(Counter::kCount);
-constexpr std::size_t kPhaseCount = 7;
-
-const char* phase_name(std::size_t p) {
-  return to_string(static_cast<Phase>(p));
+/// Apply f(field) to the stat named `name`; false when no field has it.
+template <class F>
+bool with_stat(LocalMcStats& s, const std::string& name, F&& f) {
+  bool found = false;
+  for_each_stat(s, [&](const char* n, auto& field) {
+    if (!found && name == n) {
+      found = true;
+      f(field);
+    }
+  });
+  return found;
 }
 
 }  // namespace
-
-const char* to_string(Counter c) {
-  switch (c) {
-    case Counter::kBytesHashed: return "bytes_hashed";
-    case Counter::kBytesSerialized: return "bytes_serialized";
-    case Counter::kStatesCanonicalized: return "states_canonicalized";
-    case Counter::kOrbitCollapses: return "orbit_collapses";
-    case Counter::kPorPrunes: return "por_prunes";
-    case Counter::kPorDeferrals: return "por_deferrals";
-    case Counter::kExecCacheHits: return "exec_cache_hits";
-    case Counter::kExecCacheMisses: return "exec_cache_misses";
-    case Counter::kHandlerRuns: return "handler_runs";
-    case Counter::kCachedReplays: return "cached_replays";
-    case Counter::kSoundnessJobs: return "soundness_jobs";
-    case Counter::kCount: break;
-  }
-  return "unknown";
-}
 
 void TimeHist::add(double secs) {
   const double ns = secs * 1e9;
@@ -70,23 +69,19 @@ std::uint64_t TimeHist::samples() const {
   return n;
 }
 
+std::vector<std::pair<std::string, std::string>> stat_json_fields(const LocalMcStats& s) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for_each_stat(s, [&](const char* name, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>)
+      out.emplace_back(name, json_double(v));
+    else
+      out.emplace_back(name, std::to_string(static_cast<std::uint64_t>(v)));
+  });
+  return out;
+}
+
 bool RuleKey::operator<(const RuleKey& o) const {
   return std::tie(node, is_message, kind) < std::tie(o.node, o.is_message, o.kind);
-}
-
-ProfileSink::ProfileSink() : uid_(next_sink_uid()) {}
-
-void ProfileSink::count(Counter c, std::uint64_t delta) {
-  master_.counters[static_cast<std::size_t>(c)] += delta;
-}
-
-void ProfileSink::count_shard(std::size_t shard, bool hit) {
-  if (shard >= kProfShards) return;
-  if (hit) {
-    ++master_.shard_hits[shard];
-  } else {
-    ++master_.shard_misses[shard];
-  }
 }
 
 void ProfileSink::rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
@@ -104,109 +99,20 @@ void ProfileSink::rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
   r.hash_bytes += hash_bytes;
 }
 
-void ProfileSink::phase_wall(Phase p, double secs) {
-  master_.phase_s[static_cast<std::size_t>(p)] += secs;
-}
-
-void ProfileSink::run_wall(double elapsed_s) {
-  if (elapsed_s > run_wall_s_) run_wall_s_ = elapsed_s;
-}
-
-ProfileSink::Lane* ProfileSink::this_thread_lane() {
-  // Same owner-only pattern as TraceSink::this_thread_lane: keyed by the
-  // sink uid so destroyed/reallocated sinks cannot alias, holding the
-  // Lane* directly so lanes_ growth never invalidates it.
-  struct Cache {
-    std::uint64_t uid = 0;
-    Lane* lane = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.uid == uid_) return cache.lane;
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  auto lane = std::make_unique<Lane>();
-  Lane* raw = lane.get();
-  lanes_.push_back(std::move(lane));
-  cache = Cache{uid_, raw};
-  return raw;
-}
-
-void ProfileSink::count_worker(Counter c, std::uint64_t delta) {
-  this_thread_lane()->slab.counters[static_cast<std::size_t>(c)] += delta;
-}
-
-void ProfileSink::time_worker(Phase p, double secs) {
-  this_thread_lane()->slab.phase_s[static_cast<std::size_t>(p)] += secs;
-}
-
-void ProfileSink::drain_workers() {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  // Identity fields are sums, so fold order cannot matter; attribution
-  // (phase seconds) is summed too — totals are lane-order-invariant.
-  for (auto& lane : lanes_) {
-    Slab& s = lane->slab;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      master_.counters[i] += s.counters[i];
-      s.counters[i] = 0;
-    }
-    for (std::size_t i = 0; i < kProfShards; ++i) {
-      master_.shard_hits[i] += s.shard_hits[i];
-      s.shard_hits[i] = 0;
-      master_.shard_misses[i] += s.shard_misses[i];
-      s.shard_misses[i] = 0;
-    }
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      master_.phase_s[i] += s.phase_s[i];
-      s.phase_s[i] = 0.0;
-    }
-  }
-}
-
-std::uint64_t ProfileSink::counter(Counter c) const {
-  return master_.counters[static_cast<std::size_t>(c)];
-}
-
-std::uint64_t ProfileSink::shard_hits(std::size_t shard) const {
-  return shard < kProfShards ? master_.shard_hits[shard] : 0;
-}
-
-std::uint64_t ProfileSink::shard_misses(std::size_t shard) const {
-  return shard < kProfShards ? master_.shard_misses[shard] : 0;
-}
-
-double ProfileSink::phase_seconds(Phase p) const {
-  return master_.phase_s[static_cast<std::size_t>(p)];
-}
-
-std::size_t ProfileSink::lanes() const {
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  return lanes_.size();
-}
-
-void ProfileSink::clear() {
-  master_ = Slab{};
-  rules_.clear();
-  run_wall_s_ = 0.0;
-  std::lock_guard<std::mutex> lock(lanes_mu_);
-  for (auto& lane : lanes_) lane->slab = Slab{};
+void ProfileSink::add_run(const LocalMcStats& stats, unsigned threads) {
+  merge_stats(stats_, stats);
+  ++runs_;
+  threads_ = std::max(threads_, threads);
 }
 
 std::string ProfileSink::identity_text() const {
-  // Canonical identity rendering: fixed field order, decimal integers only.
-  // Deliberately excludes threads_, run_wall_s_, phase_s and histograms —
-  // those are attribution and differ between machines/thread counts.
-  std::string out = "lmc-prof-identity/1\n";
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    out += "counter ";
-    out += to_string(static_cast<Counter>(i));
-    out += ' ';
-    out += std::to_string(master_.counters[i]);
-    out += '\n';
-  }
-  for (std::size_t i = 0; i < kProfShards; ++i) {
-    out += "shard " + std::to_string(i) + ' ' +
-           std::to_string(master_.shard_hits[i]) + ' ' +
-           std::to_string(master_.shard_misses[i]) + '\n';
-  }
+  // Canonical identity rendering: fixed field order, decimal numbers only.
+  // Threads, histograms and the attribution stats are left out — they
+  // differ between machines and thread counts.
+  std::string out = "lmc-prof-identity/2\nruns " + std::to_string(runs_) + '\n';
+  LocalMcStats s = stats_;
+  clear_attribution(s);
+  for (const auto& [name, value] : stat_json_fields(s)) out += "stat " + name + ' ' + value + '\n';
   for (const auto& [key, r] : rules_) {
     out += "rule " + std::to_string(key.node) + ' ' +
            (key.is_message != 0 ? std::string("msg") : std::string("int")) + ' ' +
@@ -219,26 +125,15 @@ std::string ProfileSink::identity_text() const {
 }
 
 std::string ProfileSink::to_jsonl() const {
-  std::string out = "{\"schema\":\"lmc-prof/1\",\"kind\":\"meta\",\"version\":1";
+  const std::string head = std::string("{\"schema\":\"") + kSchema + "\",\"kind\":";
+  std::string out = head + "\"meta\",\"version\":2";
   out += ",\"threads\":" + std::to_string(threads_);
-  out += ",\"run_wall_s\":" + json_double(run_wall_s_);
+  out += ",\"runs\":" + std::to_string(runs_);
   out += "}\n";
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"counter\",\"name\":";
-    out += json_quote(to_string(static_cast<Counter>(i)));
-    out += ",\"value\":" + std::to_string(master_.counters[i]);
-    out += "}\n";
-  }
-  for (std::size_t i = 0; i < kProfShards; ++i) {
-    out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"shard\",\"shard\":" +
-           std::to_string(i);
-    out += ",\"hits\":" + std::to_string(master_.shard_hits[i]);
-    out += ",\"misses\":" + std::to_string(master_.shard_misses[i]);
-    out += "}\n";
-  }
+  for (const auto& [name, value] : stat_json_fields(stats_))
+    out += head + "\"stat\",\"name\":" + json_quote(name) + ",\"value\":" + value + "}\n";
   for (const auto& [key, r] : rules_) {
-    out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"rule\",\"node\":" +
-           std::to_string(key.node);
+    out += head + "\"rule\",\"node\":" + std::to_string(key.node);
     out += ",\"rule\":";
     out += key.is_message != 0 ? "\"message\"" : "\"internal\"";
     out += ",\"event\":" + std::to_string(key.kind);
@@ -257,13 +152,6 @@ std::string ProfileSink::to_jsonl() const {
     }
     out += "]}\n";
   }
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    if (master_.phase_s[p] == 0.0) continue;
-    out += "{\"schema\":\"lmc-prof/1\",\"kind\":\"phase\",\"phase\":";
-    out += json_quote(phase_name(p));
-    out += ",\"wall_s\":" + json_double(master_.phase_s[p]);
-    out += "}\n";
-  }
   return out;
 }
 
@@ -280,9 +168,7 @@ namespace {
 bool prof_object(const std::string& line, JsonValue& v, std::string& kind) {
   if (!json_parse(line, v) || !v.is_object()) return false;
   const JsonValue* schema = v.get("schema");
-  if (schema == nullptr || !schema->is_string() || schema->str != "lmc-prof/1") {
-    return false;
-  }
+  if (schema == nullptr || !schema->is_string() || schema->str != kSchema) return false;
   const JsonValue* k = v.get("kind");
   if (k == nullptr || !k->is_string()) return false;
   kind = k->str;
@@ -307,24 +193,19 @@ bool merge_prof_line(const std::string& line, ProfileData& data) {
   if (!prof_object(line, v, kind)) return false;
 
   if (kind == "meta") {
-    const unsigned threads = static_cast<unsigned>(get_u64(v, "threads"));
-    if (threads > data.threads) data.threads = threads;
-    const double wall = get_dbl(v, "run_wall_s");
-    if (wall > data.run_wall_s) data.run_wall_s = wall;
-  } else if (kind == "counter") {
+    data.threads = std::max(data.threads, static_cast<unsigned>(get_u64(v, "threads")));
+    data.runs += get_u64(v, "runs");
+  } else if (kind == "stat") {
     const JsonValue* name = v.get("name");
-    if (name == nullptr || !name->is_string()) return false;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      if (name->str == to_string(static_cast<Counter>(i))) {
-        data.counters[i] += get_u64(v, "value");
-        break;
-      }
-    }
-  } else if (kind == "shard") {
-    const std::uint64_t shard = get_u64(v, "shard");
-    if (shard >= kProfShards) return false;
-    data.shard_hits[shard] += get_u64(v, "hits");
-    data.shard_misses[shard] += get_u64(v, "misses");
+    const JsonValue* value = v.get("value");
+    if (name == nullptr || !name->is_string() || value == nullptr) return false;
+    bool ok = false;
+    with_stat(data.stats, name->str, [&](auto& field) {
+      std::remove_reference_t<decltype(field)> x{};
+      ok = stat_value(*value, x);
+      if (ok) merge_stat(field, x);
+    });
+    if (!ok) return false;
   } else if (kind == "rule") {
     RuleKey key;
     key.node = static_cast<std::uint32_t>(get_u64(v, "node"));
@@ -357,15 +238,6 @@ bool merge_prof_line(const std::string& line, ProfileData& data) {
       }
       std::sort(r.hist.begin(), r.hist.end());
     }
-  } else if (kind == "phase") {
-    const JsonValue* p = v.get("phase");
-    if (p == nullptr || !p->is_string()) return false;
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      if (p->str == phase_name(i)) {
-        data.phase_s[i] += get_dbl(v, "wall_s");
-        break;
-      }
-    }
   } else {
     return false;
   }
@@ -379,36 +251,26 @@ bool validate_prof_value(const JsonValue& v, std::string* err) {
     return false;
   };
   const JsonValue* k = v.get("kind");
-  if (k == nullptr || !k->is_string()) return fail("lmc-prof/1 line missing \"kind\"");
+  if (k == nullptr || !k->is_string()) return fail("lmc-prof/2 line missing \"kind\"");
   auto need_num = [&](const char* key) {
     const JsonValue* f = v.get(key);
     return f != nullptr && f->is_number();
   };
   if (k->str == "meta") {
-    if (!need_num("version")) return fail("prof meta line missing \"version\"");
-    if (!need_num("threads")) return fail("prof meta line missing \"threads\"");
+    for (const char* key : {"version", "threads", "runs"})
+      if (!need_num(key)) return fail(std::string("prof meta line missing \"") + key + "\"");
     return true;
   }
-  if (k->str == "counter") {
+  if (k->str == "stat") {
     const JsonValue* name = v.get("name");
-    if (name == nullptr || !name->is_string()) {
-      return fail("prof counter line missing \"name\"");
-    }
-    bool known = false;
-    for (std::size_t i = 0; i < kCounterCount; ++i) {
-      if (name->str == to_string(static_cast<Counter>(i))) known = true;
-    }
-    if (!known) return fail("prof counter line has unknown name " + name->str);
-    if (!need_num("value")) return fail("prof counter line missing \"value\"");
-    return true;
-  }
-  if (k->str == "shard") {
-    if (!need_num("shard") || !need_num("hits") || !need_num("misses")) {
-      return fail("prof shard line missing shard/hits/misses");
-    }
-    if (v.get("shard")->as_u64() >= kProfShards) {
-      return fail("prof shard index out of range");
-    }
+    if (name == nullptr || !name->is_string()) return fail("prof stat line missing \"name\"");
+    const JsonValue* value = v.get("value");
+    if (value == nullptr) return fail("prof stat line missing \"value\"");
+    LocalMcStats probe;
+    bool ok = false;
+    if (!with_stat(probe, name->str, [&](auto& field) { ok = stat_value(*value, field); }))
+      return fail("prof stat line has unknown name " + name->str);
+    if (!ok) return fail("prof stat " + name->str + " has a value outside its type");
     return true;
   }
   if (k->str == "rule") {
@@ -438,18 +300,7 @@ bool validate_prof_value(const JsonValue& v, std::string* err) {
     }
     return true;
   }
-  if (k->str == "phase") {
-    const JsonValue* p = v.get("phase");
-    if (p == nullptr || !p->is_string()) return fail("prof phase line missing \"phase\"");
-    bool known = false;
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      if (p->str == phase_name(i)) known = true;
-    }
-    if (!known) return fail("prof phase line has unknown phase " + p->str);
-    if (!need_num("wall_s")) return fail("prof phase line missing \"wall_s\"");
-    return true;
-  }
-  return fail("lmc-prof/1 line has unknown kind " + k->str);
+  return fail("lmc-prof/2 line has unknown kind " + k->str);
 }
 
 }  // namespace lmc::obs

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/bench_schema.hpp"
 
@@ -35,20 +36,56 @@ std::vector<TraceEvent> load_trace_file(const std::string& path) {
 ReportSummary summarize(const std::vector<TraceEvent>& events) {
   ReportSummary s;
   s.events = events.size();
+  // Run segments in stream order. kRunEnd reports the run's cumulative
+  // totals, which for a resumed segment (kRunBegin mode 2) include the
+  // segments before it: when the segment it continues precedes it in the
+  // stream, only the part beyond that segment's end is added.
+  struct Segment {
+    std::uint64_t id = 0;
+    bool resumed = false;
+    bool ended = false;
+    std::uint64_t transitions = 0, confirmed = 0;
+    double elapsed_s = 0.0;
+  };
+  std::vector<Segment> segs;
+  auto beyond = [](std::uint64_t now, std::uint64_t before) {
+    return now > before ? now - before : 0;
+  };
   for (const TraceEvent& ev : events) {
     if (ev.round > s.rounds) s.rounds = ev.round;
     switch (ev.type) {
       case EventType::kRunBegin:
         if (s.run_begins == 0) s.base_transitions = ev.b;
         ++s.run_begins;
+        segs.push_back(Segment{ev.seq, ev.a == 2});
         break;
-      case EventType::kRunEnd:
+      case EventType::kRunEnd: {
         ++s.run_ends;
-        s.final_transitions = ev.a;
-        s.confirmed = ev.b;
+        if (segs.empty() || segs.back().ended) segs.emplace_back();  // end without a begin
+        Segment& seg = segs.back();
+        seg.ended = true;
+        seg.transitions = ev.a;
+        seg.confirmed = ev.b;
+        seg.elapsed_s = ev.dur;
+        const Segment* prev = nullptr;
+        if (seg.resumed)
+          for (std::size_t i = segs.size() - 1; i-- > 0;)
+            if (segs[i].ended && segs[i].id + 1 == seg.id) {
+              prev = &segs[i];
+              break;
+            }
+        if (prev != nullptr) {
+          s.final_transitions += beyond(ev.a, prev->transitions);
+          s.confirmed += beyond(ev.b, prev->confirmed);
+          s.elapsed_s += std::max(0.0, ev.dur - prev->elapsed_s);
+        } else {
+          s.final_transitions += ev.a;
+          s.confirmed += ev.b;
+          s.elapsed_s += ev.dur;
+        }
         s.completed = ev.c != 0;
-        s.elapsed_s = ev.dur;
         break;
+      }
       case EventType::kRoundBegin:
       case EventType::kRoundEnd:
         break;
@@ -178,7 +215,7 @@ void print_report(const ReportSummary& s, std::FILE* out) {
     for (const auto& [key, line] : s.rules)
       std::fprintf(out, "  node %3u %-8s %8" PRIu64 " run(s) %8" PRIu64
                    " cached %10.4fs\n",
-                   key.first, key.second != 0 ? "message" : "timeout", line.runs, line.cached,
+                   key.first, key.second != 0 ? "message" : "internal", line.runs, line.cached,
                    line.exec_s);
   }
   if (!s.lanes.empty()) {
@@ -223,44 +260,44 @@ std::string report_bench_json(const ReportSummary& s, const std::string& case_la
   return rec.to_json();
 }
 
+ProfilePhases profile_phases(const ProfileData& prof) {
+  const LocalMcStats& st = prof.stats;
+  ProfilePhases ph;
+  ph.run_s = st.elapsed_s;
+  ph.sweep_s = st.system_state_s;
+  ph.soundness_s = st.soundness_wall_s;
+  ph.drain_s = st.deferred_s;
+  ph.explore_s = ph.run_s - ph.sweep_s - ph.drain_s;
+  return ph;
+}
+
 void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE* out) {
-  const double sweep = prof.phase_s[static_cast<std::size_t>(Phase::kSweep)];
-  const double soundness = prof.phase_s[static_cast<std::size_t>(Phase::kSoundness)];
-  const double drain = prof.phase_s[static_cast<std::size_t>(Phase::kDrain)];
-  // Explore wall is derived, not measured: what remains of the run after the
-  // deterministic sweep windows and the phase-2 drain (the metrics heartbeat
-  // uses the same formula). Phase-1 soundness walls sit inside the sweep
-  // windows, mirroring LocalMcStats.
-  const double explore = std::max(0.0, prof.run_wall_s - sweep - drain);
-  std::fprintf(out, "lmc_report --profile: %zu prof line(s), %u thread(s), run wall %.4fs\n",
-               prof.lines, prof.threads, prof.run_wall_s);
-  std::fprintf(out, "phase wall:\n");
-  phase_row(out, "explore", explore, prof.run_wall_s, "derived: run - sweep - drain");
-  phase_row(out, "combination sweep", sweep, prof.run_wall_s, "includes phase-1 soundness");
-  phase_row(out, "soundness", soundness, prof.run_wall_s, "wall (both phases)");
-  phase_row(out, "deferred drain", drain, prof.run_wall_s, "wall");
+  const ProfilePhases ph = profile_phases(prof);
+  std::fprintf(out,
+               "lmc_report --profile: %zu prof line(s), %" PRIu64
+               " run(s), %u thread(s), run wall %.4fs\n",
+               prof.lines, prof.runs, prof.threads, ph.run_s);
+  std::fprintf(out, "phase wall (summed over runs):\n");
+  phase_row(out, "explore", ph.explore_s, ph.run_s, "derived: run - sweep - drain");
+  phase_row(out, "combination sweep", ph.sweep_s, ph.run_s, "includes phase-1 soundness");
+  phase_row(out, "soundness", ph.soundness_s, ph.run_s, "wall (both phases)");
+  phase_row(out, "deferred drain", ph.drain_s, ph.run_s, "wall");
 
-  std::fprintf(out, "counters:\n");
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Counter::kCount); ++i)
-    std::fprintf(out, "  %-22s %14" PRIu64 "\n", to_string(static_cast<Counter>(i)),
-                 prof.counters[i]);
+  std::fprintf(out, "stats (summed over runs):\n");
+  for_each_stat(prof.stats, [out](const char* name, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>)
+      std::fprintf(out, "  %-24s %14.4fs\n", name, v);
+    else
+      std::fprintf(out, "  %-24s %14" PRIu64 "\n", name, static_cast<std::uint64_t>(v));
+  });
 
-  std::uint64_t hits = 0, misses = 0;
-  for (std::size_t i = 0; i < kProfShards; ++i) {
-    hits += prof.shard_hits[i];
-    misses += prof.shard_misses[i];
+  std::uint64_t ser = 0, hashed = 0;
+  for (const auto& [key, rule] : prof.rules) {
+    ser += rule.ser_bytes;
+    hashed += rule.hash_bytes;
   }
-  if (hits + misses > 0) {
-    std::fprintf(out, "ExecCache shards (%" PRIu64 " lookup(s), %.1f%% hit):\n", hits + misses,
-                 100.0 * static_cast<double>(hits) / static_cast<double>(hits + misses));
-    for (std::size_t i = 0; i < kProfShards; ++i) {
-      const std::uint64_t n = prof.shard_hits[i] + prof.shard_misses[i];
-      if (n == 0) continue;
-      std::fprintf(out, "  shard %2zu %10" PRIu64 " hit %10" PRIu64 " miss  (%.1f%%)\n", i,
-                   prof.shard_hits[i], prof.shard_misses[i],
-                   100.0 * static_cast<double>(prof.shard_hits[i]) / static_cast<double>(n));
-    }
-  }
+  std::fprintf(out, "rule ledger: %" PRIu64 " byte(s) serialized, %" PRIu64 " hashed\n", ser,
+               hashed);
 
   std::vector<const ProfileData::Rule*> hot;
   hot.reserve(prof.rules.size());
@@ -281,7 +318,7 @@ void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE*
       std::snprintf(label, sizeof label, "node %u %s kind %u", r->key.node,
                     r->key.is_message != 0 ? "msg" : "int", r->key.kind);
       const std::uint64_t applied = r->runs + r->cached;
-      const double pct = explore > 0.0 ? 100.0 * r->exec_s / explore : 0.0;
+      const double pct = ph.explore_s > 0.0 ? 100.0 * r->exec_s / ph.explore_s : 0.0;
       const double ser_per =
           applied > 0 ? static_cast<double>(r->ser_bytes) / static_cast<double>(applied) : 0.0;
       const double hash_per =
@@ -290,23 +327,6 @@ void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE*
                    r->runs, r->cached, r->exec_s, pct, ser_per, hash_per);
     }
   }
-}
-
-void print_metrics_reductions(const std::vector<MetricsRecord>& records, std::FILE* out) {
-  if (records.empty()) return;
-  const MetricsSnapshot& s = records.back().snap;  // cumulative gauges: last wins
-  if (s.sym_orbits > 0) {
-    const std::uint64_t seen = s.sym_orbits + s.sym_orbit_hits;
-    std::fprintf(out,
-                 "symmetry: %" PRIu64 " orbit(s) (%" PRIu64 " seen-set hit(s)) standing for %"
-                 PRIu64 " ordered combination(s)%s\n",
-                 s.sym_orbits, s.sym_orbit_hits, s.sym_represented,
-                 seen > 0 && s.sym_represented > seen ? " — reduction active" : "");
-  }
-  if (s.por_pruned > 0 || s.por_deferred > 0)
-    std::fprintf(out, "POR (heartbeat): %" PRIu64 " delivery(ies) pruned, %" PRIu64
-                 " pair(s) deferred one generation\n",
-                 s.por_pruned, s.por_deferred);
 }
 
 }  // namespace lmc::obs

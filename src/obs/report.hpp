@@ -1,14 +1,15 @@
-// Trace/metrics analysis behind the lmc_report CLI (DESIGN.md §10).
+// Trace and profile analysis behind the lmc_report CLI (DESIGN.md §10).
 //
-// A report ingests "lmc-trace/1" (and optionally "lmc-metrics/1") JSONL and
-// rebuilds the checker's aggregate counters from first principles: phase
-// wall seconds are sums of the per-event durations IN FILE ORDER — the same
-// order the checker accumulated them into LocalMcStats — so for a trace
-// covering a full fresh run the reproduced elapsed_s / soundness_wall_s /
-// deferred_s / transition totals agree with the stats struct counter-exactly
-// (bit-for-bit for the doubles; tests/test_obs.cpp pins this). Traces of
-// resumed runs only cover their own segment; kRunBegin carries the base
-// transition count so the report can still show run-relative totals.
+// A report ingests "lmc-trace/1" JSONL and rebuilds the checker's aggregate
+// counters from first principles: phase wall seconds are sums of the
+// per-event durations IN FILE ORDER — the same order the checker
+// accumulated them into LocalMcStats — so for a trace covering a full fresh
+// run the reproduced elapsed_s / soundness_wall_s / deferred_s / transition
+// totals agree with the stats struct counter-exactly (bit-for-bit for the
+// doubles; tests/test_obs.cpp pins this). A stream may hold several run
+// segments (one sink over CrystalBall periods, concatenated fuzz traces, a
+// run and its resume): the run totals are summed over the segments, and a
+// resumed segment adds only what lies beyond the segment it continues.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
@@ -50,12 +50,12 @@ struct ReportSummary {
   std::uint32_t rounds = 0;             ///< max round seen
   std::uint64_t run_begins = 0, run_ends = 0;
   std::uint64_t base_transitions = 0;   ///< from the first kRunBegin (resume)
-  std::uint64_t final_transitions = 0;  ///< from the last kRunEnd `a`
-  std::uint64_t confirmed = 0;          ///< from the last kRunEnd `b`
+  std::uint64_t final_transitions = 0;  ///< kRunEnd `a`, summed over run segments
+  std::uint64_t confirmed = 0;          ///< kRunEnd `b`, summed over run segments
   bool completed = false;               ///< from the last kRunEnd `c`
 
   // Durations, summed in file order (= stats accumulation order).
-  double elapsed_s = 0.0;         ///< last kRunEnd dur (cumulative)
+  double elapsed_s = 0.0;         ///< kRunEnd dur, summed over run segments
   double sweep_s = 0.0;           ///< Σ kComboSweep dur  (== stats system_state_s)
   double soundness_wall_s = 0.0;  ///< Σ kSoundnessPhase dur
   double soundness_agg_s = 0.0;   ///< Σ kSoundnessVerdict dur (== stats soundness_s)
@@ -68,7 +68,7 @@ struct ReportSummary {
     std::uint64_t cached = 0;
     double exec_s = 0.0;
   };
-  /// Per-rule: key = (node, is_message). Timeout rules are (node, 0).
+  /// Per-rule: key = (node, is_message). Internal-event rules are (node, 0).
   std::map<std::pair<std::uint32_t, std::uint64_t>, RuleLine> rules;
 
   struct LaneLine {
@@ -91,17 +91,24 @@ void print_report(const ReportSummary& s, std::FILE* out);
 /// The report's own "lmc-bench/1" record (bench="lmc_report", case=label).
 std::string report_bench_json(const ReportSummary& s, const std::string& case_label);
 
-/// Render a merged "lmc-prof/1" profile (lmc_report --profile): phase walls
-/// with the explore share derived as run_wall - sweep - drain (the same
-/// formula the metrics heartbeat uses), the typed counter registry, the
-/// per-shard ExecCache table, and the top_k hottest rules by handler wall
-/// seconds with per-transition serialize/hash byte costs.
-void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE* out);
+/// The phase rows of a profile report, read from the summed run stats:
+/// run = Σ elapsed_s, sweep = Σ system_state_s, soundness = Σ
+/// soundness_wall_s, drain = Σ deferred_s, explore = run - sweep - drain.
+/// Phase-1 soundness runs inside the sweep windows, phase-2 soundness
+/// inside the drain, so every row is a share of run.
+struct ProfilePhases {
+  double run_s = 0.0;
+  double explore_s = 0.0;
+  double sweep_s = 0.0;
+  double soundness_s = 0.0;
+  double drain_s = 0.0;
+};
+ProfilePhases profile_phases(const ProfileData& prof);
 
-/// Render the state-space-reduction gauges (symmetry orbits, POR prunes)
-/// from a heartbeat stream. The fields are cumulative, so only the last
-/// record is printed; no-op when `records` is empty or both reductions were
-/// off for the whole run.
-void print_metrics_reductions(const std::vector<MetricsRecord>& records, std::FILE* out);
+/// Render a merged "lmc-prof/2" profile (lmc_report --profile): the phase
+/// rows, every summed stat, the serialized/hashed byte totals of the rule
+/// ledger, and the top_k hottest rules by handler wall seconds with
+/// per-transition serialize/hash byte costs.
+void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE* out);
 
 }  // namespace lmc::obs

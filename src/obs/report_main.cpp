@@ -2,25 +2,23 @@
 //
 //   lmc_report [--json] [--case LABEL] FILE...     analyze trace JSONL
 //   lmc_report --validate FILE...                  schema-check obs JSONL
-//   lmc_report --profile [--top K] FILE...         rank lmc-prof/1 rule costs
+//   lmc_report --profile [--top K] FILE...         rank lmc-prof/2 rule costs
 //   lmc_report --baseline BASE.json [--baseline ...] [--fail-over PCT] FILE...
 //
 // Analysis mode ingests every "lmc-trace/1" line from the given files (in
 // order; other obs lines are skipped so mixed files work), prints the
-// per-phase / per-rule / per-worker breakdown plus — when the files carry
-// "lmc-metrics/1" heartbeats — the final symmetry/POR reduction gauges, and
-// with --json also emits a machine-readable "lmc-bench/1" summary (stdout +
-// $LMC_BENCH_JSON).
+// per-phase / per-rule / per-worker breakdown, and with --json also emits a
+// machine-readable "lmc-bench/1" summary (stdout + $LMC_BENCH_JSON).
 //
 // Validation mode checks every non-empty line of each file against the obs
-// schemas ("lmc-trace/1", "lmc-metrics/1", "lmc-bench/1", "lmc-prof/1") —
-// CI runs it over all artifacts a job produced. Exit: 0 ok, 1 invalid
-// lines, 2 usage/IO.
+// schemas ("lmc-trace/1", "lmc-bench/1", "lmc-prof/2") — CI runs it over
+// all artifacts a job produced. Exit: 0 ok, 1 invalid lines, 2 usage/IO.
 //
-// Profile mode merges every "lmc-prof/1" line from the given files and
-// prints phase walls, the counter registry, the per-shard ExecCache table
-// and the top-K hottest rules (by handler wall seconds, as a share of the
-// derived explore wall, with per-transition serialize/hash byte costs).
+// Profile mode merges every "lmc-prof/2" line from the given files and
+// prints the phase rows of the summed run stats, every stat, the rule
+// ledger's byte totals and the top-K hottest rules (by handler wall seconds,
+// as a share of the derived explore wall, with per-transition
+// serialize/hash byte costs).
 //
 // Baseline mode diffs the "lmc-bench/1" records in FILE... against the
 // frozen records in the --baseline file(s) (bench/baselines/BENCH_*.json),
@@ -102,7 +100,7 @@ int run_profile(const std::vector<std::string>& files, std::size_t top_k) {
     for (const std::string& line : lines) lmc::obs::merge_prof_line(line, prof);
   }
   if (prof.lines == 0) {
-    std::fprintf(stderr, "lmc_report: no lmc-prof/1 lines found\n");
+    std::fprintf(stderr, "lmc_report: no lmc-prof/2 lines found\n");
     return 1;
   }
   lmc::obs::print_profile_report(prof, top_k, stdout);
@@ -170,16 +168,9 @@ int main(int argc, char** argv) {
 
   try {
     std::vector<lmc::obs::TraceEvent> events;
-    std::vector<lmc::obs::MetricsRecord> heartbeats;
     for (const std::string& path : files) {
       std::vector<lmc::obs::TraceEvent> part = lmc::obs::load_trace_file(path);
       events.insert(events.end(), part.begin(), part.end());
-      std::vector<std::string> lines;
-      if (read_lines(path, lines))
-        for (const std::string& line : lines) {
-          lmc::obs::MetricsRecord rec;
-          if (lmc::obs::parse_jsonl_line(line, rec)) heartbeats.push_back(std::move(rec));
-        }
     }
     if (events.empty()) {
       std::fprintf(stderr, "lmc_report: no lmc-trace/1 events found\n");
@@ -187,7 +178,6 @@ int main(int argc, char** argv) {
     }
     const lmc::obs::ReportSummary summary = lmc::obs::summarize(events);
     lmc::obs::print_report(summary, stdout);
-    lmc::obs::print_metrics_reductions(heartbeats, stdout);
     if (json) std::printf("%s\n", lmc::obs::report_bench_json(summary, case_label).c_str());
     return 0;
   } catch (const std::exception& e) {

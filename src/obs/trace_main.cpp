@@ -1,8 +1,8 @@
 // lmc_trace — trace tooling CLI (DESIGN.md §15).
 //
 //   lmc_trace export --chrome [-o OUT.json] [--profile PROF.jsonl] FILE...
-//       Render trace/metrics JSONL (plus an optional lmc-prof/1 profile)
-//       as a Chrome trace_event document for Perfetto / chrome://tracing.
+//       Render trace JSONL (plus an optional lmc-prof/2 profile) as a
+//       Chrome trace_event document for Perfetto / chrome://tracing.
 //       Mixed files are fine: every line is dispatched by its schema, and
 //       --profile files may simply be listed with the others.
 //   lmc_trace validate --chrome FILE.json
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/chrome.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
@@ -37,7 +36,6 @@ bool read_file(const std::string& path, std::string& out) {
 
 struct Streams {
   std::vector<lmc::obs::TraceEvent> events;
-  std::vector<lmc::obs::MetricsRecord> metrics;
   lmc::obs::ProfileData prof;
 };
 
@@ -53,11 +51,6 @@ bool ingest(const std::string& path, Streams& s) {
     lmc::obs::TraceEvent ev;
     if (lmc::obs::parse_jsonl_line(line, ev)) {
       s.events.push_back(ev);
-      continue;
-    }
-    lmc::obs::MetricsRecord rec;
-    if (lmc::obs::parse_jsonl_line(line, rec)) {
-      s.metrics.push_back(std::move(rec));
       continue;
     }
     lmc::obs::merge_prof_line(line, s.prof);  // other schemas: ignored
@@ -88,12 +81,12 @@ int run_export(int argc, char** argv) {
   if (!chrome || inputs.empty()) return usage();
   for (const std::string& path : inputs)
     if (!ingest(path, s)) return 1;
-  if (s.events.empty() && s.metrics.empty()) {
-    std::fprintf(stderr, "lmc_trace: no lmc-trace/1 or lmc-metrics/1 lines found\n");
+  if (s.events.empty()) {
+    std::fprintf(stderr, "lmc_trace: no lmc-trace/1 lines found\n");
     return 1;
   }
-  const std::string doc = lmc::obs::chrome_trace_json(
-      s.events, s.metrics, s.prof.lines > 0 ? &s.prof : nullptr);
+  const std::string doc =
+      lmc::obs::chrome_trace_json(s.events, s.prof.lines > 0 ? &s.prof : nullptr);
   if (out_path.empty()) {
     std::fwrite(doc.data(), 1, doc.size(), stdout);
   } else {
@@ -104,8 +97,8 @@ int run_export(int argc, char** argv) {
     }
     std::fwrite(doc.data(), 1, doc.size(), f);
     std::fclose(f);
-    std::fprintf(stderr, "lmc_trace: wrote %s (%zu events, %zu heartbeats)\n",
-                 out_path.c_str(), s.events.size(), s.metrics.size());
+    std::fprintf(stderr, "lmc_trace: wrote %s (%zu events)\n", out_path.c_str(),
+                 s.events.size());
   }
   return 0;
 }

@@ -4,7 +4,10 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <tuple>
+#include <type_traits>
 
 namespace lmc {
 
@@ -21,9 +24,6 @@ constexpr std::size_t kSectionHeaderLen = 2 * sizeof(std::uint32_t) + sizeof(std
 void check(bool ok, const char* what) {
   if (!ok) fail(what);
 }
-
-std::uint64_t d2u(double v) { return std::bit_cast<std::uint64_t>(v); }
-double u2d(std::uint64_t v) { return std::bit_cast<double>(v); }
 
 // --- field codecs ----------------------------------------------------------
 
@@ -68,8 +68,6 @@ Blob enc_meta(const CheckerImage& img) {
   for (NodeId n = 0; n < img.num_nodes; ++n) w.u64(img.store.size(n));
   w.u64(img.net_entries.size());
   w.u64(img.events.size());
-  w.u64(img.stats.transitions);
-  w.u64(img.stats.confirmed_violations);
   w.u64(img.pending.size());
   return std::move(w).take();
 }
@@ -149,39 +147,20 @@ Blob enc_cursors(const CheckerImage& img) {
   return std::move(w).take();
 }
 
+// Section 8: every stat as a (name, u64) pair, in table order. Doubles are
+// stored as their bit patterns, narrower integers and flags widened.
 Blob enc_stats(const LocalMcStats& s) {
   Writer w;
-  w.u64(s.transitions);
-  w.u64(s.node_states);
-  w.u64(s.system_states);
-  w.u64(s.invariant_checks);
-  w.u64(s.prelim_violations);
-  w.u64(s.confirmed_violations);
-  w.u64(s.unsound_violations);
-  w.u64(s.soundness_calls);
-  w.u64(s.feasibility_skips);
-  w.u64(s.soundness_deferred);
-  w.u64(s.deferred_processed);
-  w.u64(s.deferred_dropped);
-  w.u64(s.sequences_checked);
-  w.u64(s.verify_truncated);
-  w.u64(s.combo_truncated);
-  w.u64(s.dup_msgs_suppressed);
-  w.u64(s.history_skips);
-  w.u64(s.local_assert_discards);
-  w.u64(s.messages_in_iplus);
-  w.u64(s.warm_pairs_skipped);
-  w.u64(s.checkpoints_written);
-  w.u64(s.checkpoint_failures);
-  w.u64(s.stored_bytes);
-  w.u64(d2u(s.elapsed_s));
-  w.u64(d2u(s.soundness_s));
-  w.u64(d2u(s.system_state_s));
-  w.u64(d2u(s.deferred_s));
-  w.u64(d2u(s.soundness_wall_s));
-  w.b(s.completed);
-  w.u32(s.max_chain_depth_reached);
-  w.u32(s.max_total_depth_reached);
+  std::uint32_t n = 0;
+  for_each_stat(s, [&](const char*, const auto&) { ++n; });
+  w.u32(n);
+  for_each_stat(s, [&](const char* name, const auto& v) {
+    w.str(name);
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>)
+      w.u64(std::bit_cast<std::uint64_t>(v));
+    else
+      w.u64(static_cast<std::uint64_t>(v));
+  });
   return std::move(w).take();
 }
 
@@ -200,13 +179,6 @@ Blob enc_deferred(const CheckerImage& img) {
 
 Blob enc_symmetry(const CheckerImage& img) {
   Writer w;
-  w.u64(img.sym_stats.orbits);
-  w.u64(img.sym_stats.orbit_hits);
-  w.u64(img.sym_stats.represented);
-  w.u64(img.sym_stats.assignments_tried);
-  w.u64(img.sym_stats.orbit_defers);
-  w.u32(img.sym_stats.classes);
-  w.u8(img.sym_stats.active);
   write_u64_vec(w, img.sym_seen);
   return std::move(w).take();
 }
@@ -214,12 +186,6 @@ Blob enc_symmetry(const CheckerImage& img) {
 Blob enc_por(const CheckerImage& img) {
   Writer w;
   w.u64(img.por_digest);
-  w.u8(img.por_stats.active);
-  w.u64(img.por_stats.relation_pairs);
-  w.u64(img.por_stats.pairs_pruned);
-  w.u64(img.por_stats.conservative_skips);
-  w.u64(img.por_stats.deferrals);
-  w.u64(img.por_stats.audits);
   w.u32(static_cast<std::uint32_t>(img.por_entries.size()));
   for (const std::vector<PorFwdEntry>& per_node : img.por_entries) {
     w.u32(static_cast<std::uint32_t>(per_node.size()));
@@ -373,39 +339,31 @@ void dec_cursors(Reader& r, CheckerImage& img) {
   r.expect_exhausted();
 }
 
+// Sets every field by name: an unknown name, a repeated name, a missing
+// field or a value outside its field's type is rejected, naming the field.
 void dec_stats(Reader& r, LocalMcStats& s) {
-  s.transitions = r.u64();
-  s.node_states = r.u64();
-  s.system_states = r.u64();
-  s.invariant_checks = r.u64();
-  s.prelim_violations = r.u64();
-  s.confirmed_violations = r.u64();
-  s.unsound_violations = r.u64();
-  s.soundness_calls = r.u64();
-  s.feasibility_skips = r.u64();
-  s.soundness_deferred = r.u64();
-  s.deferred_processed = r.u64();
-  s.deferred_dropped = r.u64();
-  s.sequences_checked = r.u64();
-  s.verify_truncated = r.u64();
-  s.combo_truncated = r.u64();
-  s.dup_msgs_suppressed = r.u64();
-  s.history_skips = r.u64();
-  s.local_assert_discards = r.u64();
-  s.messages_in_iplus = r.u64();
-  s.warm_pairs_skipped = r.u64();
-  s.checkpoints_written = r.u64();
-  s.checkpoint_failures = r.u64();
-  s.stored_bytes = r.u64();
-  s.elapsed_s = u2d(r.u64());
-  s.soundness_s = u2d(r.u64());
-  s.system_state_s = u2d(r.u64());
-  s.deferred_s = u2d(r.u64());
-  s.soundness_wall_s = u2d(r.u64());
-  s.completed = r.b();
-  s.max_chain_depth_reached = r.u32();
-  s.max_total_depth_reached = r.u32();
+  std::map<std::string, std::uint64_t> vals;
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::string name = r.str();
+    const std::uint64_t v = r.u64();
+    if (!vals.emplace(name, v).second) fail("stats field repeated: " + name);
+  }
   r.expect_exhausted();
+  for_each_stat(s, [&](const char* name, auto& field) {
+    const auto it = vals.find(name);
+    if (it == vals.end()) fail(std::string("stats field missing: ") + name);
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      field = std::bit_cast<T>(it->second);
+    } else {
+      if (it->second > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+        fail(std::string("stats field out of range: ") + name);
+      field = static_cast<T>(it->second);
+    }
+    vals.erase(it);
+  });
+  if (!vals.empty()) fail("unknown stats field: " + vals.begin()->first);
 }
 
 void dec_deferred(Reader& r, CheckerImage& img) {
@@ -477,13 +435,6 @@ void dec_segment(Reader& r, CheckerImage& img) {
 
 void dec_symmetry(Reader& r, CheckerImage& img) {
   img.has_symmetry = true;
-  img.sym_stats.orbits = r.u64();
-  img.sym_stats.orbit_hits = r.u64();
-  img.sym_stats.represented = r.u64();
-  img.sym_stats.assignments_tried = r.u64();
-  img.sym_stats.orbit_defers = r.u64();
-  img.sym_stats.classes = r.u32();
-  img.sym_stats.active = r.u8();
   img.sym_seen = read_u64_vec(r);
   check(std::is_sorted(img.sym_seen.begin(), img.sym_seen.end()), "orbit seen-set not sorted");
   r.expect_exhausted();
@@ -492,12 +443,6 @@ void dec_symmetry(Reader& r, CheckerImage& img) {
 void dec_por(Reader& r, CheckerImage& img) {
   img.has_por = true;
   img.por_digest = r.u64();
-  img.por_stats.active = r.u8();
-  img.por_stats.relation_pairs = r.u64();
-  img.por_stats.pairs_pruned = r.u64();
-  img.por_stats.conservative_skips = r.u64();
-  img.por_stats.deferrals = r.u64();
-  img.por_stats.audits = r.u64();
   const std::uint32_t n = r.u32();
   check(n == img.num_nodes, "por node count mismatch");
   img.por_entries.assign(n, {});
@@ -717,12 +662,18 @@ CheckpointInfo inspect_checkpoint(const Blob& data) {
       for (std::uint32_t i = 0; i < n; ++i) info.states_per_node.push_back(m.u64());
       info.net_size = m.u64();
       info.event_count = m.u64();
-      info.transitions = m.u64();
-      info.confirmed_violations = m.u64();
       info.pending_tasks = m.u64();
       m.expect_exhausted();
     } catch (const SerializeError& e) {
       fail(std::string("malformed meta section: ") + e.what());
+    }
+  }
+  if (r.has(kSecStats)) {
+    try {
+      Reader s = r.open(kSecStats);
+      dec_stats(s, info.stats);
+    } catch (const SerializeError& e) {
+      fail(std::string("malformed stats section: ") + e.what());
     }
   }
   if (r.has(kSecSegment)) {
@@ -739,13 +690,6 @@ CheckpointInfo inspect_checkpoint(const Blob& data) {
     try {
       Reader s = r.open(kSecSymmetry);
       info.has_symmetry = true;
-      info.sym_orbits = s.u64();
-      s.u64();  // orbit_hits
-      info.sym_represented = s.u64();
-      s.u64();  // assignments_tried
-      s.u64();  // orbit_defers
-      info.sym_classes = s.u32();
-      s.u8();  // active
       info.sym_seen = s.u32();
     } catch (const SerializeError& e) {
       fail(std::string("malformed symmetry section: ") + e.what());
@@ -756,12 +700,6 @@ CheckpointInfo inspect_checkpoint(const Blob& data) {
       Reader s = r.open(kSecPor);
       info.has_por = true;
       info.por_digest = s.u64();
-      s.u8();  // active
-      info.por_relation_pairs = s.u64();
-      info.por_pruned = s.u64();
-      info.por_conservative = s.u64();
-      s.u64();  // deferrals (cumulative counter; the pending list follows)
-      info.por_audits = s.u64();
       const std::uint32_t n = s.u32();
       for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t cnt = s.u32();

@@ -24,10 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "analyze/independence/independence.hpp"
 #include "mc/local_store.hpp"
 #include "mc/stats.hpp"
-#include "mc/symmetry/role_group.hpp"
 #include "net/monotonic_network.hpp"
 #include "runtime/serialize.hpp"
 
@@ -42,7 +40,7 @@ class CheckpointError : public std::runtime_error {
 inline constexpr char kCheckpointMagic[8] = {'L', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
 // Writers emit this version and readers accept only this version (layout and
 // history in persist/FORMAT.md).
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /// Section ids of the container format. Ids are stable across versions;
 /// readers skip ids they do not know.
@@ -54,12 +52,12 @@ enum SectionId : std::uint32_t {
   kSecEvents = 5,       ///< event table (hash -> message/internal event)
   kSecFeasibility = 6,  ///< node_gens / pred_edges feasibility inputs
   kSecCursors = 7,      ///< per-node internal-event scan cursors
-  kSecStats = 8,        ///< LocalMcStats
+  kSecStats = 8,        ///< LocalMcStats as (name, value) pairs
   kSecDeferred = 9,     ///< phase-2 soundness queue
   kSecViolations = 10,  ///< violations recorded so far
   kSecPending = 11,     ///< collected-but-unapplied tasks of the stopped round
   kSecSegment = 12,     ///< trace segment id + base round (resume continuity)
-  kSecSymmetry = 13,    ///< orbit-cache summary (present iff symmetry active)
+  kSecSymmetry = 13,    ///< orbit seen-set (present iff symmetry active)
   kSecPor = 14,         ///< partial-order reduction (present iff POR active)
 };
 
@@ -160,12 +158,11 @@ struct CheckerImage {
   /// 0.
   std::uint64_t segment_id = 0;
   std::uint32_t base_round = 0;
-  /// Orbit-cache summary (kSecSymmetry): present only when the run that
-  /// wrote the checkpoint had symmetry reduction active. `sym_seen` is the
-  /// sorted orbit-hash seen-set; resuming with a different effective
-  /// symmetry mode is rejected.
+  /// Orbit seen-set (kSecSymmetry): present only when the run that wrote
+  /// the checkpoint had symmetry reduction active. `sym_seen` is the sorted
+  /// orbit-hash seen-set; resuming with a different effective symmetry mode
+  /// is rejected.
   bool has_symmetry = false;
-  symmetry::SymmetryStats sym_stats;
   std::vector<Hash64> sym_seen;
   /// Partial-order reduction (kSecPor): present only when the writing
   /// run pruned with an independence relation. `por_digest` pins the
@@ -175,7 +172,6 @@ struct CheckerImage {
   /// delivery outcomes that cannot be rebuilt from the pred graph.
   bool has_por = false;
   Hash64 por_digest = 0;
-  indep::PorStats por_stats;
   std::vector<std::vector<PorFwdEntry>> por_entries;
   /// Message pairs the pruner deferred one generation whose retry had not
   /// happened when the checkpoint was taken (cursors already advanced past
@@ -191,7 +187,8 @@ Blob encode_checkpoint(const CheckerImage& img);
 /// message naming the offending section/field.
 CheckerImage decode_checkpoint(const Blob& data);
 
-/// Cheap header + meta inspection (does not decode the heavy sections).
+/// Cheap header + meta/stats inspection (does not decode the heavy
+/// sections).
 struct CheckpointInfo {
   std::uint32_t version = 0;
   std::uint32_t num_nodes = 0;
@@ -201,25 +198,18 @@ struct CheckpointInfo {
   std::vector<std::uint64_t> states_per_node;
   std::uint64_t net_size = 0;
   std::uint64_t event_count = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t confirmed_violations = 0;
   std::uint64_t pending_tasks = 0;
+  // From kSecStats:
+  LocalMcStats stats;
   // From kSecSegment (0/0 for straight runs):
   std::uint64_t segment_id = 0;
   std::uint32_t base_round = 0;
   // From kSecSymmetry (absent unless the writing run had the reduction on):
   bool has_symmetry = false;
-  std::uint64_t sym_orbits = 0;
-  std::uint64_t sym_represented = 0;
-  std::uint32_t sym_classes = 0;
   std::uint64_t sym_seen = 0;
   // From kSecPor (absent unless the writing run had the reduction on):
   bool has_por = false;
   Hash64 por_digest = 0;
-  std::uint64_t por_relation_pairs = 0;
-  std::uint64_t por_pruned = 0;
-  std::uint64_t por_conservative = 0;
-  std::uint64_t por_audits = 0;
   std::uint64_t por_entries = 0;   ///< persisted kNoop/kDiscard/kPruned records
   std::uint64_t por_deferred = 0;  ///< deferred pairs awaiting their retry
 };

@@ -29,12 +29,8 @@ bool ExecCache::lookup(Hash64 ev, Hash64 state, ExecResult& out) const {
   auto it = s.young.find(k);
   if (it == s.young.end()) {
     it = s.old.find(k);
-    if (it == s.old.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    if (it == s.old.end()) return false;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
   out = it->second;
   return true;
 }
@@ -89,10 +85,6 @@ std::size_t ExecCache::size() const {
   }
   return n;
 }
-
-std::uint64_t ExecCache::hits() const { return hits_.load(std::memory_order_relaxed); }
-
-std::uint64_t ExecCache::misses() const { return misses_.load(std::memory_order_relaxed); }
 
 Blob ExecCache::encode() const {
   std::unique_lock<std::mutex> locks[kShards];
@@ -172,8 +164,6 @@ void ExecCache::decode(const Blob& data) {
   }
   for (auto& kv : map) shards_[shard_of(kv.first)].young.emplace(kv.first, std::move(kv.second));
   young_count_.store(map.size(), std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 void ExecCache::save(const std::string& path) const { write_checkpoint_file(path, encode()); }

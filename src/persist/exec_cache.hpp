@@ -22,10 +22,9 @@
 //
 // The map is sharded 16 ways by key hash so the work-stealing phase-1
 // workers can `peek()` concurrently with the applier's authoritative
-// `lookup()`/`insert()` without a single hot mutex (DESIGN.md §12). Hit and
-// miss counters are atomics bumped ONLY by lookup() — peek() is counter-free
-// speculation, so the counters stay exactly what a single-threaded run
-// reports.
+// `lookup()`/`insert()` without a single hot mutex (DESIGN.md §12). The
+// cache keeps no hit/miss counters: the checker's stats already count every
+// replay (warm_pairs_skipped) and every execution (transitions).
 //
 // The cache serializes with the same discipline as checkpoints (magic,
 // version, canonical entry order, trailing whole-file checksum, atomic
@@ -55,11 +54,11 @@ class ExecCache {
       : max_entries_(max_entries) {}
 
   /// True (and fills `out`) if (ev, state) was executed before. Thread-safe.
-  /// Bumps the hit/miss counters — the applier's authoritative path.
+  /// The applier's authoritative path.
   bool lookup(Hash64 ev, Hash64 state, ExecResult& out) const;
 
-  /// Presence check WITHOUT counter effects or result extraction: the
-  /// speculative worker-side probe. A true return may go stale by the time
+  /// Presence check without result extraction: the speculative
+  /// worker-side probe. A true return may go stale by the time
   /// the applier consumes (generation rotation) — the applier re-executes
   /// in that case; a false return is always safe (the worker executed).
   bool peek(Hash64 ev, Hash64 state) const;
@@ -67,15 +66,6 @@ class ExecCache {
   void insert(Hash64 ev, Hash64 state, const ExecResult& r);
 
   std::size_t size() const;
-  std::uint64_t hits() const;    ///< successful lookups since construction/load
-  std::uint64_t misses() const;  ///< failed lookups
-
-  /// Shard a (event, state) pair lands in — exposed so the profiler can
-  /// attribute authoritative lookups per shard without re-deriving the
-  /// internal key hash.
-  static std::size_t shard_index(Hash64 ev, Hash64 state) {
-    return shard_of(Key{ev, state});
-  }
 
   /// Canonical serialization (entries sorted by key); decode verifies the
   /// trailing checksum first and throws CheckpointError on any corruption.
@@ -131,8 +121,6 @@ class ExecCache {
   // generation must not trigger the rotation that would destroy it). Keys
   // are disjoint between the generations.
   std::size_t max_entries_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> young_count_{0};
   mutable Shard shards_[kShards];
 };

@@ -1,7 +1,7 @@
 // Checkpoint tooling:
-//   lmc_ckpt inspect  <file>      header, section table, summary counters
-//   lmc_ckpt inspect --json <file>  one "lmc-bench/1" record (full decode:
-//                                 includes the stats section's counters)
+//   lmc_ckpt inspect  <file>      header, section table, every stat
+//   lmc_ckpt inspect --json <file>  one "lmc-bench/1" record of the header
+//                                 and stats counters
 //   lmc_ckpt validate <file>      full structural decode; exit 0 iff valid
 //   lmc_ckpt diff     <a> <b>     what exploration happened between two
 //                                 checkpoints of the same run
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 
 #include "obs/bench_schema.hpp"
@@ -41,7 +42,7 @@ const char* section_name(std::uint32_t id) {
 int cmd_inspect_json(const std::string& path) {
   const Blob data = read_checkpoint_file(path);
   const CheckpointInfo info = inspect_checkpoint(data);
-  const CheckerImage img = decode_checkpoint(data);  // stats live past the meta section
+  const LocalMcStats& st = info.stats;
   obs::BenchRecord rec("lmc_ckpt", path);
   rec.param("version", static_cast<std::uint64_t>(info.version));
   rec.param("nodes", static_cast<std::uint64_t>(info.num_nodes));
@@ -52,30 +53,30 @@ int cmd_inspect_json(const std::string& path) {
   rec.metric("pending_tasks", info.pending_tasks);
   rec.metric("segment_id", info.segment_id);
   rec.metric("base_round", static_cast<std::uint64_t>(info.base_round));
-  rec.metric("transitions", img.stats.transitions);
-  rec.metric("system_states", img.stats.system_states);
-  rec.metric("prelim_violations", img.stats.prelim_violations);
-  rec.metric("confirmed_violations", img.stats.confirmed_violations);
-  rec.metric("soundness_calls", img.stats.soundness_calls);
-  rec.metric("soundness_deferred", img.stats.soundness_deferred);
-  rec.metric("deferred_processed", img.stats.deferred_processed);
-  rec.metric("deferred_dropped", img.stats.deferred_dropped);
-  rec.metric("checkpoints_written", img.stats.checkpoints_written);
-  rec.metric("elapsed_s", img.stats.elapsed_s);
-  rec.metric("soundness_s", img.stats.soundness_s);
-  rec.metric("soundness_wall_s", img.stats.soundness_wall_s);
-  rec.metric("deferred_s", img.stats.deferred_s);
-  rec.metric("completed", static_cast<std::uint64_t>(img.stats.completed ? 1 : 0));
+  rec.metric("transitions", st.transitions);
+  rec.metric("system_states", st.system_states);
+  rec.metric("prelim_violations", st.prelim_violations);
+  rec.metric("confirmed_violations", st.confirmed_violations);
+  rec.metric("soundness_calls", st.soundness_calls);
+  rec.metric("soundness_deferred", st.soundness_deferred);
+  rec.metric("deferred_processed", st.deferred_processed);
+  rec.metric("deferred_dropped", st.deferred_dropped);
+  rec.metric("checkpoints_written", st.checkpoints_written);
+  rec.metric("elapsed_s", st.elapsed_s);
+  rec.metric("soundness_s", st.soundness_s);
+  rec.metric("soundness_wall_s", st.soundness_wall_s);
+  rec.metric("deferred_s", st.deferred_s);
+  rec.metric("completed", static_cast<std::uint64_t>(st.completed ? 1 : 0));
   if (info.has_symmetry) {
-    rec.metric("sym_orbits", info.sym_orbits);
-    rec.metric("sym_classes", static_cast<std::uint64_t>(info.sym_classes));
-    rec.metric("sym_represented", info.sym_represented);
+    rec.metric("sym_orbits", st.sym.orbits);
+    rec.metric("sym_classes", static_cast<std::uint64_t>(st.sym.classes));
+    rec.metric("sym_represented", st.sym.represented);
   }
   if (info.has_por) {
-    rec.metric("por_relation_pairs", info.por_relation_pairs);
-    rec.metric("por_pruned", info.por_pruned);
-    rec.metric("por_conservative", info.por_conservative);
-    rec.metric("por_audits", info.por_audits);
+    rec.metric("por_relation_pairs", st.por.relation_pairs);
+    rec.metric("por_pruned", st.por.pairs_pruned);
+    rec.metric("por_conservative", st.por.conservative_skips);
+    rec.metric("por_audits", st.por.audits);
     rec.metric("por_entries", info.por_entries);
     rec.metric("por_deferred", info.por_deferred);
   }
@@ -94,21 +95,30 @@ int cmd_inspect(const std::string& path) {
   std::printf(")\n");
   std::printf("  I+ messages: %" PRIu64 "\n", info.net_size);
   std::printf("  events:      %" PRIu64 "\n", info.event_count);
-  std::printf("  transitions: %" PRIu64 "\n", info.transitions);
-  std::printf("  confirmed:   %" PRIu64 "\n", info.confirmed_violations);
+  std::printf("  transitions: %" PRIu64 "\n", info.stats.transitions);
+  std::printf("  confirmed:   %" PRIu64 "\n", info.stats.confirmed_violations);
   std::printf("  pending:     %" PRIu64 " task(s) of an interrupted round\n", info.pending_tasks);
   std::printf("  segment:     %" PRIu64 " (rounds continue from %u on resume)\n", info.segment_id,
               info.base_round);
+  const SymmetryStats& sym = info.stats.sym;
   if (info.has_symmetry)
     std::printf("  symmetry:    %" PRIu64 " orbit(s) over %u class(es), %" PRIu64
                 " ordered combination(s) represented, %" PRIu64 " seen-set entries\n",
-                info.sym_orbits, info.sym_classes, info.sym_represented, info.sym_seen);
+                sym.orbits, sym.classes, sym.represented, info.sym_seen);
+  const PorStats& por = info.stats.por;
   if (info.has_por)
     std::printf("  por:         relation %" PRIu64 " pair(s) (digest %016" PRIx64 "), %" PRIu64
                 " pruned, %" PRIu64 " conservative, %" PRIu64 " audit(s), %" PRIu64
                 " persisted forward record(s), %" PRIu64 " deferred pair(s)\n",
-                info.por_relation_pairs, info.por_digest, info.por_pruned, info.por_conservative,
-                info.por_audits, info.por_entries, info.por_deferred);
+                por.relation_pairs, info.por_digest, por.pairs_pruned, por.conservative_skips,
+                por.audits, info.por_entries, info.por_deferred);
+  std::printf("  stats:\n");
+  for_each_stat(info.stats, [](const char* name, const auto& v) {
+    if constexpr (std::is_floating_point_v<std::remove_cvref_t<decltype(v)>>)
+      std::printf("    %-24s %.6f\n", name, v);
+    else
+      std::printf("    %-24s %" PRIu64 "\n", name, static_cast<std::uint64_t>(v));
+  });
   std::printf("  sections:\n");
   for (const auto& s : info.sections) {
     const char* name = section_name(s.id);

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dfuzz/protogen.hpp"
 #include "mc/local_mc.hpp"
@@ -135,6 +137,72 @@ TEST(CkptRobustness, SnapshotStateMustBeFirstStoreState) {
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos) << e.what();
   }
+}
+
+using StatPairs = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// The (name, value) pairs of a checkpoint's stats section, in file order.
+StatPairs stats_pairs(const Blob& data) {
+  CheckpointReader r(data);
+  Reader s = r.open(kSecStats);
+  StatPairs out(s.u32());
+  for (auto& [name, value] : out) {
+    name = s.str();
+    value = s.u64();
+  }
+  return out;
+}
+
+/// Re-assemble `data` with its stats section replaced by `pairs`. The
+/// container's checksum is valid, so only the stats decoder can object.
+Blob with_stats_pairs(const Blob& data, const StatPairs& pairs) {
+  CheckpointReader r(data);
+  CheckpointWriter w(r.num_nodes());
+  for (const auto& sec : r.sections()) {
+    const auto begin = data.begin() + static_cast<std::ptrdiff_t>(sec.offset);
+    Blob payload(begin, begin + static_cast<std::ptrdiff_t>(sec.len));
+    if (sec.id == kSecStats) {
+      Writer sw;
+      sw.u32(static_cast<std::uint32_t>(pairs.size()));
+      for (const auto& [name, value] : pairs) {
+        sw.str(name);
+        sw.u64(value);
+      }
+      payload = std::move(sw).take();
+    }
+    w.add_section(sec.id, std::move(payload));
+  }
+  return std::move(w).finish();
+}
+
+void expect_rejected_naming(const Blob& data, const std::string& field) {
+  try {
+    decode_checkpoint(data);
+    FAIL() << "a stats section with a bad field " << field << " must be rejected";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(CkptRobustness, StatsSectionRejectsMissingRepeatedAndUnknownFields) {
+  // Section 8 is a list of (name, value) pairs set by name: a field the
+  // decoder cannot place, or cannot find, must fail loudly and say which.
+  const Blob data = sample_checkpoint();
+  const StatPairs pairs = stats_pairs(data);
+  ASSERT_GT(pairs.size(), 8u);
+  ASSERT_EQ(with_stats_pairs(data, pairs), data) << "re-assembly must be the identity";
+
+  StatPairs missing = pairs;
+  missing.erase(missing.begin() + 5);
+  expect_rejected_naming(with_stats_pairs(data, missing), pairs[5].first);
+
+  StatPairs repeated = pairs;
+  repeated.push_back(pairs[3]);
+  expect_rejected_naming(with_stats_pairs(data, repeated), pairs[3].first);
+
+  StatPairs unknown = pairs;
+  unknown.emplace_back("sym.no_such_gauge", 1);
+  expect_rejected_naming(with_stats_pairs(data, unknown), "sym.no_such_gauge");
 }
 
 TEST(CkptRobustness, LoadCheckpointBytesPropagatesErrors) {

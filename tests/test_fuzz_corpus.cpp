@@ -117,7 +117,7 @@ TEST(FuzzCorpus, ThreadCountByteIdenticalWithSymmetry) {
       LocalModelChecker mc(p.cfg, p.invariant.get(), opt);
       mc.run_from_initial();
       ASSERT_TRUE(mc.stats().completed) << "seed " << seed << " threads " << threads;
-      if (threads == 1 && mc.symmetry_stats().active != 0) ++active_runs;
+      if (threads == 1 && mc.stats().sym.active != 0) ++active_runs;
       Blob norm = dfuzz::normalized_checkpoint_bytes(mc.checkpoint_bytes());
       if (threads == 1)
         base = std::move(norm);

@@ -1,10 +1,12 @@
 // Observability layer (DESIGN.md §10, §15): trace determinism +
 // non-perturbation over the frozen fuzz corpus, counter-exact report
-// reproduction, JSONL round-trips, schema validation, the LMC_TRACE /
-// LMC_PROF cost contracts, the profiling identity contract (1-vs-8-thread
-// byte identity, checkpoint non-perturbation), the Chrome trace_event
-// export, baseline missing-case reporting, and the checkpoint stats fields
-// (deferred_dropped counter, soundness_wall_s) and version window.
+// reproduction, run totals summed over the segments of one stream, JSONL
+// round-trips, schema validation, the LMC_TRACE / LMC_PROF cost contracts,
+// the profiling identity contract (1-vs-8-thread byte identity, checkpoint
+// non-perturbation), profile phase rows equal to the summed run stats, the
+// Chrome trace_event export, baseline missing-case reporting, and the
+// checkpoint stats fields (deferred_dropped counter, soundness_wall_s) and
+// version window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +19,6 @@
 #include "obs/baseline.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/chrome.hpp"
-#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -177,52 +178,6 @@ TEST(ObsTrace, WorkerErrorRoundTripAndReportAggregation) {
   EXPECT_EQ(s.worker_exceptions_dropped, 3u);
 }
 
-// --- metrics ----------------------------------------------------------------
-
-TEST(ObsMetrics, IntervalGatingAndRates) {
-  obs::MetricsSink every(/*interval_s=*/0.0);
-  obs::MetricsSnapshot s;
-  s.where = "round";
-  s.transitions = 10;
-  s.exec_hits = 3;
-  s.exec_misses = 1;
-  every.tick(s);
-  s.transitions = 30;
-  every.tick(s);
-  ASSERT_EQ(every.records().size(), 2u);
-  EXPECT_EQ(every.records()[1].exec_hit_rate, 0.75);
-  EXPECT_GE(every.records()[1].states_per_s, 0.0);
-
-  obs::MetricsSink gated(/*interval_s=*/3600.0);
-  gated.tick(s);   // first tick always records (nothing to gate against)
-  gated.tick(s);   // inside the window — dropped
-  gated.force(s);  // book-end — recorded regardless
-  EXPECT_EQ(gated.records().size(), 2u);
-}
-
-TEST(ObsMetrics, JsonlRoundTripAndSchema) {
-  obs::MetricsSink sink(0.0);
-  obs::MetricsSnapshot s;
-  s.where = "sweep";
-  s.round = 2;
-  s.transitions = 123;
-  s.sweep_s = 0.125;
-  sink.tick(s);
-  const std::string jsonl = sink.to_jsonl();
-  const std::string line = jsonl.substr(0, jsonl.find('\n'));
-  std::string err;
-  EXPECT_TRUE(obs::validate_obs_line(line, &err)) << err;
-  obs::MetricsRecord back;
-  ASSERT_TRUE(obs::parse_jsonl_line(line, back));
-  EXPECT_EQ(back.snap.where, "sweep");
-  EXPECT_EQ(back.snap.round, 2u);
-  EXPECT_EQ(back.snap.transitions, 123u);
-  EXPECT_EQ(back.snap.sweep_s, 0.125);
-  // A metrics line is not a trace line — the parsers must not cross-accept.
-  TraceEvent tev;
-  EXPECT_FALSE(obs::parse_jsonl_line(line, tev));
-}
-
 // --- bench schema -----------------------------------------------------------
 
 TEST(ObsBench, RecordValidatesAndBadLinesAreRejected) {
@@ -251,10 +206,8 @@ TEST(ObsChecker, TreeRunTracedVsUntracedAndReport) {
   const Blob plain_bytes = dfuzz::normalized_checkpoint_bytes(plain.checkpoint_bytes());
 
   obs::TraceSink trace;
-  obs::MetricsSink metrics(0.0);
   LocalMcOptions traced_opt;
   traced_opt.trace = &trace;
-  traced_opt.metrics = &metrics;
   LocalModelChecker traced(cfg, &inv, traced_opt);
   traced.run_from_initial();
 
@@ -262,7 +215,6 @@ TEST(ObsChecker, TreeRunTracedVsUntracedAndReport) {
   EXPECT_EQ(plain_bytes, dfuzz::normalized_checkpoint_bytes(traced.checkpoint_bytes()));
   EXPECT_EQ(trace.undrained(), 0u);
   ASSERT_FALSE(trace.events().empty());
-  EXPECT_FALSE(metrics.records().empty());
 
   const obs::ReportSummary sum = obs::summarize(trace.events());
   expect_counter_exact(sum, traced.stats());
@@ -337,6 +289,29 @@ TEST(ObsCorpus, TracedByteIdenticalAndThreadPermutationStable) {
   EXPECT_GT(with_soundness, 0u);
 }
 
+// One sink over several runs (CrystalBall periods, concatenated per-seed
+// traces): the report sums the run totals over the run segments, so no
+// phase can exceed the summed elapsed time.
+TEST(ObsChecker, TwoRunsInOneSinkSumRunTotals) {
+  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(14));
+  obs::TraceSink sink;
+  LocalModelChecker a(p.cfg, p.invariant.get(), corpus_options(1, &sink));
+  a.run_from_initial();
+  LocalModelChecker b(p.cfg, p.invariant.get(), corpus_options(1, &sink));
+  b.run_from_initial();
+  ASSERT_GT(a.stats().confirmed_violations, 0u);
+
+  const obs::ReportSummary sum = obs::summarize(sink.events());
+  EXPECT_EQ(sum.run_begins, 2u);
+  EXPECT_EQ(sum.elapsed_s, a.stats().elapsed_s + b.stats().elapsed_s);
+  EXPECT_EQ(sum.transitions, a.stats().transitions + b.stats().transitions);
+  EXPECT_EQ(sum.final_transitions, a.stats().transitions + b.stats().transitions);
+  EXPECT_EQ(sum.confirmed, a.stats().confirmed_violations + b.stats().confirmed_violations);
+  for (double phase : {sum.handler_exec_s, sum.sweep_s, sum.soundness_wall_s,
+                       sum.soundness_agg_s, sum.deferred_s, sum.checkpoint_s})
+    EXPECT_LE(phase, sum.elapsed_s);
+}
+
 // --- checkpoint stats fields -----------------------------------------------
 
 Blob small_checkpoint() {
@@ -366,13 +341,15 @@ TEST(ObsProf, LmcProfMacroDoesNotEvaluateArgsWhenOff) {
     ++evaluated;
     return std::uint64_t{1};
   };
+  const obs::RuleKey key{0, 1, 0};
   obs::ProfileSink* off = nullptr;
-  LMC_PROF(off, count(obs::Counter::kHandlerRuns, delta()));
+  LMC_PROF(off, rule(key, /*cached=*/false, delta(), 0, 0.0));
   EXPECT_EQ(evaluated, 0);
   obs::ProfileSink on;
-  LMC_PROF(&on, count(obs::Counter::kHandlerRuns, delta()));
+  LMC_PROF(&on, rule(key, /*cached=*/false, delta(), 0, 0.0));
   EXPECT_EQ(evaluated, 1);
-  EXPECT_EQ(on.counter(obs::Counter::kHandlerRuns), 1u);
+  ASSERT_EQ(on.rules().size(), 1u);
+  EXPECT_EQ(on.rules().at(key).ser_bytes, 1u);
 }
 
 TEST(ObsProf, TimeHistBucketsAreLog2Nanoseconds) {
@@ -392,29 +369,21 @@ TEST(ObsProf, TimeHistBucketsAreLog2Nanoseconds) {
   EXPECT_EQ(h.count[1], 2u);
 }
 
-TEST(ObsProf, WorkerLanesFoldOnDrain) {
-  obs::ProfileSink sink;
-  sink.count_worker(obs::Counter::kSoundnessJobs, 5);
-  sink.time_worker(obs::Phase::kSoundness, 0.25);
-  // Worker-lane writes are invisible until the deterministic drain point.
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 0u);
-  sink.drain_workers();
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 5u);
-  EXPECT_EQ(sink.phase_seconds(obs::Phase::kSoundness), 0.25);
-  // Draining is move-out, not copy: a second drain adds nothing.
-  sink.drain_workers();
-  EXPECT_EQ(sink.counter(obs::Counter::kSoundnessJobs), 5u);
-}
-
 TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   obs::ProfileSink sink;
-  sink.note_threads(4);
-  sink.run_wall(1.5);
-  sink.count(obs::Counter::kBytesHashed, 1000);
-  sink.count(obs::Counter::kHandlerRuns, 7);
-  sink.count_shard(3, /*hit=*/true);
-  sink.count_shard(3, /*hit=*/false);
-  sink.phase_wall(obs::Phase::kSweep, 0.5);
+  LocalMcStats run1;
+  run1.transitions = 7;
+  run1.elapsed_s = 1.5;
+  run1.system_state_s = 0.1 + 0.2;  // not exactly representable — must round-trip
+  run1.completed = true;
+  run1.max_chain_depth_reached = 3;
+  run1.sym.orbits = 11;
+  LocalMcStats run2 = run1;
+  run2.transitions = 5;
+  run2.completed = false;
+  run2.max_chain_depth_reached = 2;
+  sink.add_run(run1, 4);
+  sink.add_run(run2, 1);
   const obs::RuleKey key{2, 1, 9};
   sink.rule(key, /*cached=*/false, /*ser_bytes=*/64, /*hash_bytes=*/32, /*exec_s=*/1e-6);
   sink.rule(key, /*cached=*/true, /*ser_bytes=*/64, /*hash_bytes=*/0, /*exec_s=*/0.0);
@@ -432,12 +401,15 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
     start = end + 1;
   }
   EXPECT_EQ(data.threads, 4u);
-  EXPECT_EQ(data.run_wall_s, 1.5);
-  EXPECT_EQ(data.counters[static_cast<std::size_t>(obs::Counter::kBytesHashed)], 1000u);
-  EXPECT_EQ(data.counters[static_cast<std::size_t>(obs::Counter::kHandlerRuns)], 7u);
-  EXPECT_EQ(data.shard_hits[3], 1u);
-  EXPECT_EQ(data.shard_misses[3], 1u);
-  EXPECT_EQ(data.phase_s[static_cast<std::size_t>(obs::Phase::kSweep)], 0.5);
+  EXPECT_EQ(data.runs, 2u);
+  // Counts and seconds add, the gauges keep the maximum, and completed
+  // holds only while every run completed.
+  EXPECT_EQ(data.stats.transitions, 12u);
+  EXPECT_EQ(data.stats.elapsed_s, 3.0);
+  EXPECT_EQ(data.stats.system_state_s, run1.system_state_s + run2.system_state_s);
+  EXPECT_FALSE(data.stats.completed);
+  EXPECT_EQ(data.stats.max_chain_depth_reached, 3u);
+  EXPECT_EQ(data.stats.sym.orbits, 22u);
   ASSERT_EQ(data.rules.size(), 1u);
   const obs::ProfileData::Rule& r = data.rules.begin()->second;
   EXPECT_EQ(r.key, key);
@@ -451,8 +423,55 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   // schema validation.
   EXPECT_FALSE(obs::merge_prof_line("{\"schema\":\"lmc-trace/1\"}", data));
   EXPECT_FALSE(obs::validate_obs_line(
-      "{\"schema\":\"lmc-prof/1\",\"kind\":\"bogus\"}", &err));
-  EXPECT_FALSE(obs::validate_obs_line("{\"schema\":\"lmc-prof/1\"}", &err));
+      "{\"schema\":\"lmc-prof/2\",\"kind\":\"bogus\"}", &err));
+  EXPECT_FALSE(obs::validate_obs_line("{\"schema\":\"lmc-prof/2\"}", &err));
+  EXPECT_FALSE(obs::validate_obs_line(
+      "{\"schema\":\"lmc-prof/2\",\"kind\":\"stat\",\"name\":\"nope\",\"value\":1}", &err));
+  EXPECT_FALSE(obs::validate_obs_line(
+      "{\"schema\":\"lmc-prof/2\",\"kind\":\"stat\",\"name\":\"completed\",\"value\":2}",
+      &err));
+  // The reader accepts lmc-prof/2 only.
+  EXPECT_FALSE(obs::merge_prof_line(
+      "{\"schema\":\"lmc-prof/1\",\"kind\":\"meta\",\"version\":1,\"threads\":1}", data));
+}
+
+// The profile's phase rows are the checker's own stats summed over the runs
+// it was attached to, so merging runs at different thread counts keeps every
+// row a share of the summed run wall. Seed 171 drains 190 deferred
+// combinations in phase 2, so every row is non-trivial.
+TEST(ObsProf, MergedRunsPhaseRowsAreTheSummedStats) {
+  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(171));
+  obs::ProfileSink prof;
+  LocalMcStats sum = stats_fold_start();
+  for (unsigned threads : {1u, 4u}) {
+    LocalMcOptions opt = corpus_options(threads, nullptr);
+    opt.profile = &prof;
+    LocalModelChecker mc(p.cfg, p.invariant.get(), opt);
+    mc.run_from_initial();
+    ASSERT_GT(mc.stats().deferred_processed, 0u) << "the input must exercise the drain";
+    merge_stats(sum, mc.stats());
+  }
+
+  obs::ProfileData data;
+  const std::string jsonl = prof.to_jsonl();
+  std::size_t start = 0;
+  while (start < jsonl.size()) {
+    const std::size_t end = jsonl.find('\n', start);
+    EXPECT_TRUE(obs::merge_prof_line(jsonl.substr(start, end - start), data));
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  EXPECT_EQ(data.runs, 2u);
+  EXPECT_EQ(data.threads, 4u);
+  const obs::ProfilePhases ph = obs::profile_phases(data);
+  EXPECT_EQ(ph.run_s, sum.elapsed_s);
+  EXPECT_EQ(ph.sweep_s, sum.system_state_s);
+  EXPECT_EQ(ph.soundness_s, sum.soundness_wall_s);
+  EXPECT_EQ(ph.drain_s, sum.deferred_s);
+  EXPECT_GT(ph.drain_s, 0.0);
+  EXPECT_GE(ph.explore_s, 0.0);
+  for (double row : {ph.explore_s, ph.sweep_s, ph.soundness_s, ph.drain_s})
+    EXPECT_LE(row, ph.run_s);
 }
 
 // The tentpole contract over a frozen-corpus slice: the profile's identity
@@ -485,7 +504,7 @@ TEST(ObsProfCorpus, IdentityByteIdentical1v8AndCheckpointUnperturbed) {
       ASSERT_TRUE(mc.stats().completed) << "seed " << seed << " threads " << threads;
       ASSERT_EQ(plain_bytes, dfuzz::normalized_checkpoint_bytes(mc.checkpoint_bytes()))
           << "seed " << seed << ": profiling perturbed the run at " << threads << " threads";
-      if (prof.counter(obs::Counter::kHandlerRuns) > 0) ++with_handler_runs;
+      if (prof.stats().transitions > 0) ++with_handler_runs;
       const std::string identity = prof.identity_text();
       if (threads == 1)
         base_identity = identity;
@@ -505,11 +524,9 @@ TEST(ObsChrome, ExportValidatesAndBadDocsRejected) {
   tree::CausalDeliveryInvariant inv(topo);
 
   obs::TraceSink trace;
-  obs::MetricsSink metrics(0.0);
   obs::ProfileSink prof;
   LocalMcOptions opt;
   opt.trace = &trace;
-  opt.metrics = &metrics;
   opt.profile = &prof;
   LocalModelChecker mc(cfg, &inv, opt);
   mc.run_from_initial();
@@ -529,10 +546,14 @@ TEST(ObsChrome, ExportValidatesAndBadDocsRejected) {
   }
 
   std::string err;
-  const std::string with_prof = obs::chrome_trace_json(trace.events(), metrics.records(), &pdata);
+  const std::string with_prof = obs::chrome_trace_json(trace.events(), &pdata);
   EXPECT_TRUE(obs::validate_chrome_trace(with_prof, &err)) << err;
-  const std::string without = obs::chrome_trace_json(trace.events(), metrics.records(), nullptr);
+  const std::string without = obs::chrome_trace_json(trace.events(), nullptr);
   EXPECT_TRUE(obs::validate_chrome_trace(without, &err)) << err;
+  // The progress track comes from the round ends, the final sample from
+  // the profile's stat lines.
+  EXPECT_NE(without.find("\"name\":\"progress\""), std::string::npos);
+  EXPECT_NE(with_prof.find("\"sym.orbits\":"), std::string::npos);
 
   EXPECT_FALSE(obs::validate_chrome_trace("not json", &err));
   EXPECT_FALSE(obs::validate_chrome_trace("{}", &err));                   // no traceEvents

@@ -279,7 +279,7 @@ TEST(PaxosScenarios, AcceptRaceAtThreeNodes) {
 struct ScenarioRuns {
   LocalMcStats plain;
   LocalMcStats reduced;
-  symmetry::SymmetryStats sym;
+  SymmetryStats sym;
   std::vector<Hash64> plain_keys;
   std::vector<Hash64> reduced_keys;
 };
@@ -295,16 +295,16 @@ ScenarioRuns run_both(const SystemConfig& cfg, const Invariant* inv, const Live&
   LocalModelChecker plain(cfg, inv, scenario_opt(chain_depth, false));
   plain.run(live.nodes, live.flight);
   EXPECT_TRUE(plain.stats().completed);
-  EXPECT_EQ(plain.symmetry_stats().active, 0u);
+  EXPECT_EQ(plain.stats().sym.active, 0u);
   out.plain = plain.stats();
   out.plain_keys = confirmed_canon_set(plain, classes);
 
   LocalModelChecker reduced(cfg, inv, scenario_opt(chain_depth, true));
   reduced.run(live.nodes, live.flight);
   EXPECT_TRUE(reduced.stats().completed);
-  EXPECT_EQ(reduced.symmetry_stats().active, 1u) << "acceptor class should activate";
+  EXPECT_EQ(reduced.stats().sym.active, 1u) << "acceptor class should activate";
   out.reduced = reduced.stats();
-  out.sym = reduced.symmetry_stats();
+  out.sym = reduced.stats().sym;
   out.reduced_keys = confirmed_canon_set(reduced, classes);
 
   EXPECT_EQ(out.plain_keys, out.reduced_keys)

@@ -14,6 +14,7 @@
 
 #include "mc/local_mc.hpp"
 #include "mc/replay.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/exec_cache.hpp"
@@ -189,7 +190,7 @@ TEST(Persist, InspectReportsCounters) {
   EXPECT_EQ(info.total_states, mc.store().total_states());
   EXPECT_EQ(info.net_size, mc.iplus().size());
   EXPECT_EQ(info.event_count, mc.events().size());
-  EXPECT_EQ(info.transitions, mc.stats().transitions);
+  EXPECT_EQ(info.stats.transitions, mc.stats().transitions);
   EXPECT_EQ(info.sections.size(), 12u);
 }
 
@@ -517,6 +518,17 @@ TEST(Persist, ResumedTraceContinuesSegmentAndRounds) {
   // exploration is exactly the uninterrupted one.
   EXPECT_EQ(decode_checkpoint(c.checkpoint_bytes()).segment_id, 1u);
   expect_equal(fingerprint(a, cfg.num_nodes), fingerprint(c, cfg.num_nodes));
+
+  // One stream holding both segments reports the whole run: the resumed
+  // segment's cumulative totals count only beyond the segment it continues.
+  std::vector<obs::TraceEvent> both = first_seg.events();
+  both.insert(both.end(), second_seg.events().begin(), second_seg.events().end());
+  const obs::ReportSummary sum = obs::summarize(both);
+  EXPECT_EQ(sum.run_begins, 2u);
+  EXPECT_DOUBLE_EQ(sum.elapsed_s, c.stats().elapsed_s);
+  EXPECT_EQ(sum.final_transitions, c.stats().transitions);
+  EXPECT_EQ(sum.transitions, c.stats().transitions);
+  EXPECT_EQ(sum.confirmed, c.stats().confirmed_violations);
 }
 
 TEST(Persist, ExecCacheReplaysIdenticalExploration) {

@@ -129,17 +129,17 @@ TEST(PorEffectiveness, PaxosPrunesWithExactStateAgreement) {
   LocalModelChecker plain(cfg, inv.get(), plain_opt);
   plain.run_from_initial();
   ASSERT_TRUE(plain.stats().completed);
-  EXPECT_EQ(plain.por_stats().active, 0u);
+  EXPECT_EQ(plain.stats().por.active, 0u);
 
   LocalMcOptions red_opt = por_opts();
   red_opt.enable_system_states = false;
   LocalModelChecker reduced(cfg, inv.get(), red_opt);
   reduced.run_from_initial();
   ASSERT_TRUE(reduced.stats().completed);
-  ASSERT_EQ(reduced.por_stats().active, 1u);
-  EXPECT_GT(reduced.por_stats().relation_pairs, 0u);
-  EXPECT_GT(reduced.por_stats().pairs_pruned, 0u);
-  EXPECT_EQ(reduced.por_stats().audits, reduced.por_stats().pairs_pruned);
+  ASSERT_EQ(reduced.stats().por.active, 1u);
+  EXPECT_GT(reduced.stats().por.relation_pairs, 0u);
+  EXPECT_GT(reduced.stats().por.pairs_pruned, 0u);
+  EXPECT_EQ(reduced.stats().por.audits, reduced.stats().por.pairs_pruned);
   EXPECT_EQ(reduced.stats().node_states, plain.stats().node_states);
   EXPECT_EQ(reduced.stats().confirmed_violations, plain.stats().confirmed_violations);
   EXPECT_GE(static_cast<double>(plain.stats().transitions),
@@ -162,8 +162,8 @@ TEST(PorEffectiveness, BoundedDepthDisablesTheReduction) {
     LocalModelChecker mc(cfg, inv.get(), opt);
     mc.run_from_initial();
     ASSERT_TRUE(mc.stats().completed);
-    EXPECT_EQ(mc.por_stats().active, 0u) << (which == 0 ? "total" : "chain");
-    EXPECT_EQ(mc.por_stats().pairs_pruned, 0u);
+    EXPECT_EQ(mc.stats().por.active, 0u) << (which == 0 ? "total" : "chain");
+    EXPECT_EQ(mc.stats().por.pairs_pruned, 0u);
   }
 }
 
@@ -177,7 +177,7 @@ TEST(PorDeterminism, EightThreadsByteIdenticalToOne) {
   LocalModelChecker one(cfg, inv.get(), opt);
   one.run_from_initial();
   ASSERT_TRUE(one.stats().completed);
-  ASSERT_GT(one.por_stats().pairs_pruned, 0u);
+  ASSERT_GT(one.stats().por.pairs_pruned, 0u);
 
   LocalMcOptions opt8 = opt;
   opt8.num_threads = 8;
@@ -203,20 +203,20 @@ TEST(PorResume, SectionFourteenRoundTripsThroughTheCodec) {
   LocalModelChecker mc(cfg, inv.get(), opt);
   mc.run_from_initial();
   ASSERT_TRUE(mc.stats().completed);
-  ASSERT_EQ(mc.por_stats().active, 1u);
+  ASSERT_EQ(mc.stats().por.active, 1u);
 
   const Blob bytes = mc.checkpoint_bytes();
   CheckerImage img = decode_checkpoint(bytes);
   EXPECT_TRUE(img.has_por);
   EXPECT_NE(img.por_digest, 0u);
-  EXPECT_EQ(img.por_stats, mc.por_stats());
+  EXPECT_EQ(img.stats.por, mc.stats().por);
   // Canonical encoding: decode -> encode reproduces the input bytes.
   EXPECT_EQ(encode_checkpoint(img), bytes);
 
   const CheckpointInfo info = inspect_checkpoint(bytes);
   EXPECT_TRUE(info.has_por);
   EXPECT_EQ(info.por_digest, img.por_digest);
-  EXPECT_EQ(info.por_pruned, mc.por_stats().pairs_pruned);
+  EXPECT_EQ(info.stats.por.pairs_pruned, mc.stats().por.pairs_pruned);
 }
 
 TEST(PorResume, InterruptedRunResumesByteIdentically) {
@@ -231,7 +231,7 @@ TEST(PorResume, InterruptedRunResumesByteIdentically) {
   LocalModelChecker straight(cfg, inv.get(), opt);
   straight.run_from_initial();
   ASSERT_TRUE(straight.stats().completed);
-  ASSERT_GT(straight.por_stats().deferrals, 0u) << "test must exercise the deferred-pair tail";
+  ASSERT_GT(straight.stats().por.deferrals, 0u) << "test must exercise the deferred-pair tail";
 
   bool exercised_deferred_tail = false;
   for (std::uint64_t cut = 2; cut + 1 < straight.stats().transitions; cut += 3) {
@@ -250,7 +250,7 @@ TEST(PorResume, InterruptedRunResumesByteIdentically) {
     resumed.run_resumed(path);
     std::remove(path.c_str());
     ASSERT_TRUE(resumed.stats().completed);
-    EXPECT_EQ(resumed.por_stats().pairs_pruned, straight.por_stats().pairs_pruned);
+    EXPECT_EQ(resumed.stats().por.pairs_pruned, straight.stats().por.pairs_pruned);
     EXPECT_EQ(dfuzz::normalized_checkpoint_bytes(resumed.checkpoint_bytes()),
               dfuzz::normalized_checkpoint_bytes(straight.checkpoint_bytes()));
     break;
@@ -266,7 +266,7 @@ TEST(PorResume, ModeAndDigestMismatchesOnLoadThrow) {
   on.enable_system_states = false;
   LocalModelChecker writer(cfg, inv.get(), on);
   writer.run_from_initial();
-  ASSERT_EQ(writer.por_stats().active, 1u);
+  ASSERT_EQ(writer.stats().por.active, 1u);
   const std::string path = scratch_path("mismatch");
   writer.save_checkpoint(path);
 

@@ -292,7 +292,7 @@ TEST(SymmetryChecker, AsymmetricProtocolIsAByteIdenticalNoOp) {
   LocalModelChecker b(p.cfg, p.invariant.get(), on);
   b.run_from_initial();
 
-  EXPECT_EQ(b.symmetry_stats().active, 0u);
+  EXPECT_EQ(b.stats().sym.active, 0u);
   EXPECT_TRUE(b.symmetry_classes().empty());
   EXPECT_EQ(dfuzz::normalized_checkpoint_bytes(a.checkpoint_bytes()),
             dfuzz::normalized_checkpoint_bytes(b.checkpoint_bytes()));
@@ -330,7 +330,7 @@ TEST(SymmetryChecker, WrongExplicitHintIsStillSound) {
   LocalModelChecker b(p.cfg, p.invariant.get(), on);
   b.run_from_initial();
   ASSERT_TRUE(b.stats().completed);
-  ASSERT_EQ(b.symmetry_stats().active, 1u);
+  ASSERT_EQ(b.stats().sym.active, 1u);
 
   auto canon_set = [&](const LocalModelChecker& mc) {
     std::vector<Hash64> keys;
@@ -370,11 +370,11 @@ TEST(SymmetryChecker, ReductionShrinksExploredCombinationsOnSymmetricSpecs) {
     LocalModelChecker b(p.cfg, p.invariant.get(), on);
     b.run_from_initial();
     ASSERT_TRUE(b.stats().completed) << "seed " << seed;
-    if (b.symmetry_stats().active == 0) continue;
+    if (b.stats().sym.active == 0) continue;
 
     EXPECT_LE(b.stats().system_states, a.stats().system_states) << "seed " << seed;
-    EXPECT_EQ(b.stats().system_states, b.symmetry_stats().orbits) << "seed " << seed;
-    EXPECT_GE(b.symmetry_stats().represented, a.stats().system_states) << "seed " << seed;
+    EXPECT_EQ(b.stats().system_states, b.stats().sym.orbits) << "seed " << seed;
+    EXPECT_GE(b.stats().sym.represented, a.stats().system_states) << "seed " << seed;
     if (b.stats().system_states < a.stats().system_states) ++reduced_runs;
   }
   EXPECT_GT(reduced_runs, 0u) << "no symmetric seed actually reduced anything";
@@ -448,7 +448,7 @@ TEST(SymmetryResume, InterruptedRunResumesByteIdentically) {
     LocalModelChecker straight(p.cfg, p.invariant.get(), opt);
     straight.run_from_initial();
     ASSERT_TRUE(straight.stats().completed);
-    if (straight.symmetry_stats().active == 0 || straight.stats().transitions < 8) continue;
+    if (straight.stats().sym.active == 0 || straight.stats().transitions < 8) continue;
 
     LocalMcOptions half = opt;
     half.max_transitions = straight.stats().transitions / 2;
@@ -461,7 +461,7 @@ TEST(SymmetryResume, InterruptedRunResumesByteIdentically) {
     resumed.run_resumed(path);
     std::remove(path.c_str());
     ASSERT_TRUE(resumed.stats().completed);
-    EXPECT_EQ(resumed.symmetry_stats(), straight.symmetry_stats());
+    EXPECT_EQ(resumed.stats().sym, straight.stats().sym);
     EXPECT_EQ(dfuzz::normalized_checkpoint_bytes(resumed.checkpoint_bytes()),
               dfuzz::normalized_checkpoint_bytes(straight.checkpoint_bytes()));
     return;  // one qualifying seed is the test
@@ -477,7 +477,7 @@ TEST(SymmetryResume, ModeMismatchOnLoadThrows) {
     on.symmetry.mode = SymmetryMode::kAuto;
     LocalModelChecker writer(p.cfg, p.invariant.get(), on);
     writer.run_from_initial();
-    if (writer.symmetry_stats().active == 0) continue;
+    if (writer.stats().sym.active == 0) continue;
     const std::string path = scratch_path("mismatch");
     writer.save_checkpoint(path);
 
@@ -508,15 +508,15 @@ TEST(SymmetryResume, InspectSummarizesSymmetrySection) {
     on.symmetry.mode = SymmetryMode::kAuto;
     LocalModelChecker writer(p.cfg, p.invariant.get(), on);
     writer.run_from_initial();
-    if (writer.symmetry_stats().active == 0) continue;
+    if (writer.stats().sym.active == 0) continue;
 
     // The cheap inspection path must surface the section 13 summary without
     // a full decode, matching the live counters it was written from.
     const CheckpointInfo info = inspect_checkpoint(writer.checkpoint_bytes());
     EXPECT_TRUE(info.has_symmetry);
-    EXPECT_EQ(info.sym_orbits, writer.symmetry_stats().orbits);
-    EXPECT_EQ(info.sym_classes, writer.symmetry_stats().classes);
-    EXPECT_EQ(info.sym_represented, writer.symmetry_stats().represented);
+    EXPECT_EQ(info.stats.sym.orbits, writer.stats().sym.orbits);
+    EXPECT_EQ(info.stats.sym.classes, writer.stats().sym.classes);
+    EXPECT_EQ(info.stats.sym.represented, writer.stats().sym.represented);
     EXPECT_GT(info.sym_seen, 0u);
 
     LocalMcOptions off_opt;

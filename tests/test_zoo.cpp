@@ -164,7 +164,7 @@ TEST(Zoo, ThreadCountByteIdenticalWithSymmetry) {
       LocalModelChecker mc(p.cfg, p.invariant.get(), opt);
       mc.run_from_initial();
       ASSERT_TRUE(mc.stats().completed) << threads << " threads";
-      if (threads == 1 && mc.symmetry_stats().active != 0) ++active_specs;
+      if (threads == 1 && mc.stats().sym.active != 0) ++active_specs;
       Blob norm = dfuzz::normalized_checkpoint_bytes(mc.checkpoint_bytes());
       if (threads == 1)
         base = std::move(norm);
