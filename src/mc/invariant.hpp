@@ -8,6 +8,12 @@
 //    combinations where two projections disagree on an index are built.
 //  * RandTree's children/siblings-disjoint invariant is per-node: only
 //    combinations containing a self-violating node state are built.
+//
+// Contract: project(), projection_self_violates() and projections_conflict()
+// must each be a pure function of its arguments — no hidden state, no
+// dependence on call order or call count. LMC-OPT stores each distinct
+// projection once and evaluates the predicates once per distinct projection,
+// not once per node state: one answer stands for every state that maps to it.
 #pragma once
 
 #include <cstdint>

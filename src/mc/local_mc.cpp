@@ -79,8 +79,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   net_ = MonotonicNetwork{};
   events_.clear();
   internal_scan_.assign(cfg_.num_nodes, 0);
-  proj_.assign(cfg_.num_nodes, {});
-  mapped_.assign(cfg_.num_nodes, {});
+  proj_index_.reset(cfg_.num_nodes);
   node_gens_.assign(cfg_.num_nodes, {});
   pred_edges_.assign(cfg_.num_nodes, 0);
   por_fwd_.assign(cfg_.num_nodes, {});
@@ -98,7 +97,6 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   pipeline_dropped_ = 0;
 
   start_ = StartSnapshot{nodes, in_flight, {}};
-  const bool projecting = invariant_ != nullptr && invariant_->has_projection();
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
     NodeStateRec rec;
     rec.blob = nodes[n];
@@ -109,11 +107,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     ++stats_.node_states;
     LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                      0, root_hash, 0, 0.0, n)));
-    if (projecting) {
-      Projection p = invariant_->project(cfg_, n, nodes[n]);
-      if (!p.empty()) mapped_[n].push_back(0);
-      proj_[n].push_back(std::move(p));
-    }
+    index_state(n, 0);
   }
   // Snapshot in-flight messages seed I+ and are available to soundness
   // verification without any generating event.
@@ -651,11 +645,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                    idx, h2, pred.depth + 1, 0.0, e.node)));
 
-  if (invariant_ != nullptr && invariant_->has_projection()) {
-    Projection p = invariant_->project(cfg_, e.node, store_.rec(e.node, idx).blob);
-    if (!p.empty()) mapped_[e.node].push_back(idx);
-    proj_[e.node].push_back(std::move(p));
-  }
+  index_state(e.node, idx);
 
   if (opt_.enable_system_states && invariant_ != nullptr && !stop_) {
     const double t0 = now_s();
@@ -670,13 +660,49 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   }
 }
 
+void LocalModelChecker::ProjectionIndex::reset(std::size_t num_nodes) {
+  ids.clear();
+  projs.clear();
+  cls.assign(num_nodes, {});
+  members.assign(num_nodes, {});
+}
+
+void LocalModelChecker::ProjectionIndex::add(NodeId n, Projection p) {
+  const auto idx = static_cast<std::uint32_t>(cls[n].size());
+  if (p.empty()) {
+    cls[n].push_back(kUnmapped);
+    return;
+  }
+  const auto [it, fresh] = ids.try_emplace(std::move(p), static_cast<std::uint32_t>(projs.size()));
+  if (fresh) projs.push_back(&it->first);
+  cls[n].push_back(it->second);
+  members[n][it->second].push_back(idx);
+}
+
+const Projection& LocalModelChecker::ProjectionIndex::projection(std::uint32_t c) const {
+  static const Projection kEmpty;
+  return c == kUnmapped ? kEmpty : *projs[c];
+}
+
+bool LocalModelChecker::indexes_projections() const {
+  return opt_.enable_system_states && invariant_ != nullptr && invariant_->has_projection();
+}
+
+void LocalModelChecker::index_state(NodeId n, std::uint32_t idx) {
+  if (indexes_projections())
+    proj_index_.add(n, invariant_->project(cfg_, n, store_.rec(n, idx).blob));
+}
+
 bool LocalModelChecker::combo_violates(const std::vector<std::uint32_t>& combo) const {
   if (invariant_->has_projection()) {
+    auto proj = [&](NodeId i) -> const Projection& {
+      return proj_index_.projection(proj_index_.cls[i][combo[i]]);
+    };
     for (NodeId i = 0; i < cfg_.num_nodes; ++i)
-      if (invariant_->projection_self_violates(proj_[i][combo[i]])) return true;
+      if (invariant_->projection_self_violates(proj(i))) return true;
     for (NodeId i = 0; i < cfg_.num_nodes; ++i)
       for (NodeId j = i + 1; j < cfg_.num_nodes; ++j)
-        if (invariant_->projections_conflict(proj_[i][combo[i]], proj_[j][combo[j]])) return true;
+        if (invariant_->projections_conflict(proj(i), proj(j))) return true;
     return false;
   }
   SystemStateView view(cfg_.num_nodes);
@@ -1175,8 +1201,9 @@ void LocalModelChecker::sweep_opt(NodeId n, std::uint32_t idx, std::vector<Defer
   // self-violating state or one conflicting pair, so only those states are
   // pinned; the bystander nodes stay FREE in soundness verification, which
   // parks them on a co-reachable completion (see SoundnessVerifier::verify).
-  const Projection& p = proj_[n][idx];
-  if (p.empty()) return;
+  const std::uint32_t pc = proj_index_.cls[n][idx];
+  if (pc == ProjectionIndex::kUnmapped) return;
+  const Projection& p = proj_index_.projection(pc);
 
   auto emit = [&](NodeId m, std::uint32_t j, bool pair) {
     Deferred d;
@@ -1204,47 +1231,30 @@ void LocalModelChecker::sweep_opt(NodeId n, std::uint32_t idx, std::vector<Defer
     return;
   }
 
-  // Projection-pair scan: flatten the mapped candidate states of the other
-  // nodes and evaluate the conflict predicates in parallel shards; flagged
-  // pairs are emitted (and counted) serially in scan order.
-  struct Cand {
-    NodeId m;
-    std::uint32_t j;
-  };
-  std::vector<Cand> cands;
+  // Projection-class scan, inline on the applier: each class of every other
+  // node is tested once, and the members of the hit classes are emitted in
+  // scan order — node ascending, then state index ascending — so the hit
+  // classes of one node are merged.
+  std::vector<std::pair<NodeId, std::uint32_t>> hits;
   for (NodeId m = 0; m < cfg_.num_nodes; ++m) {
     if (m == n) continue;
-    for (std::uint32_t j : mapped_[m]) cands.push_back(Cand{m, j});
-  }
-  if (cands.empty()) return;
-
-  std::vector<std::uint8_t> hit(cands.size(), 0);
-  const std::size_t n_shards =
-      std::min<std::size_t>(cands.size(), static_cast<std::size_t>(pool_width()) * 8);
-  std::atomic<bool> stopped{false};
-  pool_run(n_shards, [&](std::size_t s) {
-    const std::size_t base = cands.size() / n_shards;
-    const std::size_t rem = cands.size() % n_shards;
-    const std::size_t lo = s * base + std::min(s, rem);
-    const std::size_t hi = lo + base + (s < rem ? 1 : 0);
-    std::uint64_t probe = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if ((++probe & 0xff) == 0 && hard_budget_exceeded()) {
-        stopped.store(true, std::memory_order_relaxed);
+    const std::size_t first = hits.size();
+    for (const auto& [c, states] : proj_index_.members[m]) {
+      if ((++combo_probe_ & 0xff) == 0 && hard_budget_exceeded()) {
+        stats_.completed = false;
+        stop_ = true;
         return;
       }
-      const Projection& q = proj_[cands[i].m][cands[i].j];
-      hit[i] = invariant_->projections_conflict(p, q) ||
-               invariant_->projection_self_violates(q);
+      const Projection& q = proj_index_.projection(c);
+      if (!invariant_->projections_conflict(p, q) && !invariant_->projection_self_violates(q))
+        continue;
+      const std::size_t mid = hits.size();
+      for (std::uint32_t j : states) hits.emplace_back(m, j);
+      std::inplace_merge(hits.begin() + static_cast<std::ptrdiff_t>(first),
+                         hits.begin() + static_cast<std::ptrdiff_t>(mid), hits.end());
     }
-  });
-  if (stopped.load(std::memory_order_relaxed)) {
-    stats_.completed = false;
-    stop_ = true;
-    return;
   }
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (hit[i]) emit(cands[i].m, cands[i].j, /*pair=*/true);
+  for (const auto& [m, j] : hits) emit(m, j, /*pair=*/true);
 }
 
 bool LocalModelChecker::sym_consider(std::vector<std::uint32_t>& combo,
@@ -1653,20 +1663,11 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
     pending_tasks_.push_back(
         Task{t.is_message, static_cast<std::size_t>(t.net_idx), t.node, t.state_idx});
 
-  // Projections are derived state — recompute from the invariant (the
-  // checkpoint stays invariant-agnostic).
-  proj_.assign(cfg_.num_nodes, {});
-  mapped_.assign(cfg_.num_nodes, {});
-  if (invariant_ != nullptr && invariant_->has_projection()) {
-    for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
-      const std::uint32_t count = store_.size(n);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        Projection p = invariant_->project(cfg_, n, store_.rec(n, i).blob);
-        if (!p.empty()) mapped_[n].push_back(i);
-        proj_[n].push_back(std::move(p));
-      }
-    }
-  }
+  // The projection index is derived state — rebuild it from the store under
+  // this checker's options (the checkpoint stays invariant-agnostic).
+  proj_index_.reset(cfg_.num_nodes);
+  for (NodeId n = 0; n < cfg_.num_nodes; ++n)
+    for (std::uint32_t i = 0; i < store_.size(n); ++i) index_state(n, i);
   // Re-resolve the reduction against the restored store, then restore the
   // orbit seen-set so already-counted orbits are not re-processed. Options
   // must agree with the writing run: a symmetry-mode mismatch would splice

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,10 +88,11 @@ struct LocalMcOptions {
   /// Threads for the parallel phases (1 = sequential): phase-1 handler
   /// execution (a work-stealing pipeline of num_threads - 1 workers plus
   /// the applier — tasks are published in deterministic cursor-scan order
-  /// and their results consumed in exactly that order), the combination
-  /// sweep per new node state (LMC-GEN Cartesian shards / LMC-OPT
-  /// projection-pair shards), soundness verification of the sweep's
-  /// preliminary violations, and the phase-2 deferred drain. All results
+  /// and their results consumed in exactly that order), the LMC-GEN
+  /// combination sweep per new node state (Cartesian shards), soundness
+  /// verification of the sweep's preliminary violations, and the phase-2
+  /// deferred drain. The LMC-OPT sweep tests one projection class per
+  /// distinct projection and runs inline on the applier. All results
   /// merge in deterministic publication/enumeration order on the calling
   /// thread, so exploration, confirmed violations, witness schedules and
   /// checkpoints are byte-identical for any thread count. Invariants must
@@ -289,8 +291,36 @@ class LocalModelChecker {
   EventTable events_;
   StartSnapshot start_;                        ///< the snapshot the run started from
   std::vector<std::uint32_t> internal_scan_;   ///< per node: next state to scan for HA
-  std::vector<std::vector<Projection>> proj_;  ///< per node, parallel to LS_n (when projecting)
-  std::vector<std::vector<std::uint32_t>> mapped_;  ///< per node: states with non-empty projection
+
+  /// The projection index of LMC-OPT (§4.2 "invariant-specific creation"):
+  /// each distinct non-empty projection is stored once as a class, every
+  /// stored state carries its class id (kUnmapped for an empty projection),
+  /// and every node lists the member states of each of its classes in
+  /// ascending order. The invariant's predicates are pure functions of
+  /// their projections (invariant.hpp), so sweep_opt tests each class of a
+  /// node once instead of each of its states. Derived state: built only
+  /// while system states are enabled (see indexes_projections), never
+  /// serialized, rebuilt from the store on checkpoint load.
+  struct ProjectionIndex {
+    static constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
+    std::map<Projection, std::uint32_t> ids;      ///< projection -> class id
+    std::vector<const Projection*> projs;         ///< class id -> its key in `ids`
+    std::vector<std::vector<std::uint32_t>> cls;  ///< per node, parallel to LS_n: class id
+    /// Per node: class id -> member state indices, ascending.
+    std::vector<std::map<std::uint32_t, std::vector<std::uint32_t>>> members;
+
+    void reset(std::size_t num_nodes);
+    /// Index `p` as the projection of node n's next stored state.
+    void add(NodeId n, Projection p);
+    /// The projection of class c (the empty projection for kUnmapped).
+    const Projection& projection(std::uint32_t c) const;
+  };
+  ProjectionIndex proj_index_;
+  /// Whether this run keeps proj_index_: a projecting invariant whose system
+  /// states are checked. LMC-explore reads no projection, so it computes none.
+  bool indexes_projections() const;
+  /// Project state idx of node n into proj_index_ (when indexing).
+  void index_state(NodeId n, std::uint32_t idx);
 
   bool member_feasible(NodeId n, std::uint32_t idx);
   void record_confirmed(const std::vector<std::uint32_t>& combo, SoundnessResult res);
@@ -310,13 +340,15 @@ class LocalModelChecker {
   std::vector<Deferred> deferred_;
 
   // --- phase-2 parallel machinery (see DESIGN.md "Parallel phase 2") ------
-  // A sweep for a new node state runs in two fanned-out stages: (A) shards
-  // of the combination/pair enumeration emit preliminary violations in
-  // enumeration order with per-shard stat accumulators, (B) each preliminary
-  // violation is verified (feasibility pre-check + quick-capped joint
-  // search) independently. Outcomes are merged on the calling thread in
-  // enumeration order, so counters, the deferred queue, confirmed
-  // violations and witness schedules are identical for any thread count.
+  // A sweep for a new node state runs in two stages: (A) the enumeration
+  // emits preliminary violations in enumeration order — LMC-GEN in shards
+  // of the combination product with per-shard stat accumulators, LMC-OPT
+  // inline, one predicate test per projection class — and (B) each
+  // preliminary violation is verified (feasibility pre-check + quick-capped
+  // joint search) independently, fanned out. Outcomes are merged on the
+  // calling thread in enumeration order, so counters, the deferred queue,
+  // confirmed violations and witness schedules are identical for any
+  // thread count.
   void sweep_gen(NodeId n, std::uint32_t idx, std::vector<Deferred>& prelims);
   void sweep_opt(NodeId n, std::uint32_t idx, std::vector<Deferred>& prelims);
   // --- symmetry reduction (src/mc/symmetry/, DESIGN.md §13) ---------------

@@ -6,9 +6,10 @@
 // over threads:
 //  * handler execution — tasks read immutable node states and write results
 //    to per-index slots;
-//  * the combination sweep (LMC-GEN Cartesian product / LMC-OPT projection
-//    pair scan) — shards of the enumeration space emit preliminary
-//    violations tagged with their enumeration index;
+//  * the LMC-GEN combination sweep (the Cartesian product) — shards of the
+//    enumeration space emit preliminary violations tagged with their
+//    enumeration index (the LMC-OPT sweep needs no shards: it tests one
+//    class per distinct projection, inline on the calling thread);
 //  * soundness verification — feasibility pre-checks and (quick or full)
 //    joint searches of independent combinations.
 // Every phase merges its results sequentially in task order on the calling

@@ -3,6 +3,7 @@
 // controlled precisely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -271,6 +272,100 @@ TEST(LocalMc, MemoryAccountingIsPopulated) {
   mc.run_from_initial();
   EXPECT_GT(mc.stats().stored_bytes, 0u);
   EXPECT_GT(mc.stats().messages_in_iplus, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// LMC-OPT emission order when several projection classes of one node hit.
+// Node 0 ticks up to kMaxTicks times and tells node 1 each new tick count;
+// its projection alternates with the tick parity. Node 1 waits kWaits
+// internal steps and keeps the highest tick it heard; once it has waited it
+// is mapped, with a projection that conflicts with both of node 0's. A pair
+// (node 0 at tick j, node 1 having heard h) is jointly reachable iff j >= h,
+// so node 1's sweeps hit interleaved members of both node-0 classes, and
+// some of the hits confirm while others are deferred.
+
+constexpr std::uint32_t kEvTick = 2;
+constexpr std::uint32_t kMsgTick = 8;
+constexpr std::uint32_t kMaxTicks = 6;
+constexpr std::uint32_t kWaits = 3;
+
+class TickNode final : public StateMachine {
+ public:
+  explicit TickNode(NodeId self) : self_(self) {}
+
+  void handle_message(const Message& m, Context& ctx) override {
+    ctx.local_assert(m.type == kMsgTick, "tick: unknown message");
+    Reader r(m.payload);
+    heard_ = std::max(heard_, r.u32());
+  }
+  std::vector<InternalEvent> enabled_internal_events() const override {
+    if (ticks_ >= (self_ == 0 ? kMaxTicks : kWaits)) return {};
+    Writer w;
+    w.u32(ticks_);
+    return {InternalEvent{kEvTick, std::move(w).take()}};
+  }
+  void handle_internal(const InternalEvent& ev, Context& ctx) override {
+    ctx.local_assert(ev.kind == kEvTick, "tick: unknown event");
+    ++ticks_;
+    if (self_ != 0) return;
+    Writer w;
+    w.u32(ticks_);
+    ctx.send(1, kMsgTick, std::move(w).take());
+  }
+  void serialize(Writer& w) const override {
+    w.u32(ticks_);
+    w.u32(heard_);
+  }
+  void deserialize(Reader& r) override {
+    ticks_ = r.u32();
+    heard_ = r.u32();
+  }
+
+ private:
+  NodeId self_;
+  std::uint32_t ticks_ = 0;
+  std::uint32_t heard_ = 0;
+};
+
+class TickParityInvariant final : public Invariant {
+ public:
+  std::string name() const override { return "tick.parity"; }
+  bool holds(const SystemConfig&, const SystemStateView& sys) const override {
+    return decode_counter(*sys[1]).first < kWaits;
+  }
+  bool has_projection() const override { return true; }
+  Projection project(const SystemConfig&, NodeId n, const Blob& state) const override {
+    const std::uint32_t ticks = decode_counter(state).first;
+    if (n == 0) return {{0, ticks % 2}};
+    if (ticks >= kWaits) return {{0, 2}};
+    return {};
+  }
+};
+
+TEST(LocalMc, OptMultiClassHitsKeepScanOrder) {
+  SystemConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.factory = [](NodeId self, std::uint32_t) { return std::make_unique<TickNode>(self); };
+  TickParityInvariant inv;
+  LocalMcOptions opt;
+  opt.use_projection = true;
+  opt.stop_on_confirmed = false;
+  opt.num_threads = 1;
+  LocalModelChecker mc(cfg, &inv, opt);
+  mc.run_from_initial();
+  ASSERT_TRUE(mc.stats().completed);
+
+  // Node 1's state 9 (waited, heard nothing) is mapped while node 0 holds
+  // ticks 0..3 in two parity classes: its hits come out in state order
+  // 0, 1, 2, 3, not class by class (0, 2, 1, 3).
+  const std::vector<std::vector<std::uint32_t>> expected{
+      {0, 9},  {1, 9},  {2, 9},  {3, 9},  {1, 10}, {2, 10}, {3, 10}, {2, 11}, {3, 11}, {3, 15},
+      {4, 9},  {4, 10}, {4, 11}, {4, 15}, {4, 19}, {5, 9},  {5, 10}, {5, 11}, {5, 15}, {5, 19},
+      {5, 23}, {6, 9},  {6, 10}, {6, 11}, {6, 15}, {6, 19}, {6, 23}, {6, 27}};
+  std::vector<std::vector<std::uint32_t>> combos;
+  for (const LocalViolation& v : mc.violations()) combos.push_back(v.combo);
+  EXPECT_EQ(combos, expected);
+  EXPECT_EQ(mc.stats().soundness_deferred, 21u);
 }
 
 TEST(LocalMc, TimeBudgetRespected) {

@@ -2,7 +2,10 @@
 // CrystalBall loop rediscovering the §5.5 and §5.6 bugs end-to-end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <functional>
+#include <set>
 
 #include "mc/replay.hpp"
 #include "online/crystalball.hpp"
@@ -247,6 +250,111 @@ TEST(CrystalBall, NoBugIn1PaxosWithoutInjection) {
   opt.on_period = expect_completed_or_capped(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   EXPECT_FALSE(cb.run().found);
+}
+
+/// Forwards to another invariant and counts the LMC-OPT predicate calls.
+class CountingInvariant final : public Invariant {
+ public:
+  explicit CountingInvariant(const Invariant& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  bool holds(const SystemConfig& cfg, const SystemStateView& sys) const override {
+    return inner_.holds(cfg, sys);
+  }
+  bool has_projection() const override { return inner_.has_projection(); }
+  Projection project(const SystemConfig& cfg, NodeId n, const Blob& state) const override {
+    project_calls.fetch_add(1, std::memory_order_relaxed);
+    return inner_.project(cfg, n, state);
+  }
+  bool projection_self_violates(const Projection& p) const override {
+    self_calls.fetch_add(1, std::memory_order_relaxed);
+    return inner_.projection_self_violates(p);
+  }
+  bool projections_conflict(const Projection& a, const Projection& b) const override {
+    conflict_calls.fetch_add(1, std::memory_order_relaxed);
+    return inner_.projections_conflict(a, b);
+  }
+
+  mutable std::atomic<std::uint64_t> project_calls{0};
+  mutable std::atomic<std::uint64_t> self_calls{0};
+  mutable std::atomic<std::uint64_t> conflict_calls{0};
+
+ private:
+  const Invariant& inner_;
+};
+
+TEST(OnlineOpt, SweepWorkIsBoundedByDistinctProjections) {
+  // One lmcbench paxos-online period: correct Paxos at the 60 s snapshot of
+  // live seed 1, depth 14, LMC-OPT, a fixed transition cap. Paxos states map
+  // to a handful of distinct chosen-value projections per node, and the
+  // predicates are pure, so each new mapped state may cost at most one
+  // conflict test per distinct projection of every other node — not one
+  // per mapped state.
+  SystemConfig live_cfg = live_paxos_cfg(false);
+  SystemConfig mc_cfg = checker_paxos_cfg(false);
+  auto agreement = paxos::make_agreement_invariant();
+  CountingInvariant inv(*agreement);
+  LiveRunner live(live_cfg, live_opts(1), first_enabled_driver());
+  live.run_until(60);
+  Snapshot snap = live.snapshot();
+
+  LocalMcOptions opt;
+  opt.max_total_depth = 14;
+  opt.use_projection = true;
+  opt.max_transitions = 30'000;
+  opt.stop_on_confirmed = false;
+  LocalModelChecker mc(mc_cfg, &inv, opt);
+  mc.run(snap.nodes, snap.in_flight);
+  EXPECT_EQ(mc.stats().transitions, 30'000u);
+  EXPECT_EQ(mc.stats().system_states, 0u);
+
+  std::uint64_t max_distinct = 0;
+  for (NodeId n = 0; n < mc_cfg.num_nodes; ++n) {
+    std::set<Projection> distinct;
+    for (std::uint32_t i = 0; i < mc.store().size(n); ++i) {
+      Projection p = agreement->project(mc_cfg, n, mc.store().rec(n, i).blob);
+      if (!p.empty()) distinct.insert(std::move(p));
+    }
+    max_distinct = std::max<std::uint64_t>(max_distinct, distinct.size());
+  }
+  const std::uint64_t states = mc.stats().node_states;
+  const std::uint64_t bound = states * (mc_cfg.num_nodes - 1) * max_distinct;
+  EXPECT_LE(inv.conflict_calls.load(), bound)
+      << states << " node states, at most " << max_distinct << " distinct projections per node";
+  EXPECT_LE(inv.self_calls.load(), states + bound);
+}
+
+TEST(OnlineOpt, ExploreModeProjectsNoState) {
+  // LMC-explore (Fig. 13) checks no system state, so nothing reads a
+  // projection and none is computed. A checker that checks system states
+  // projects each stored state once — also when it loads the explore run's
+  // checkpoint, whose store it indexes under its own options.
+  SystemConfig live_cfg = live_paxos_cfg(false);
+  SystemConfig mc_cfg = checker_paxos_cfg(false);
+  auto agreement = paxos::make_agreement_invariant();
+  LiveRunner live(live_cfg, live_opts(1), first_enabled_driver());
+  live.run_until(60);
+  Snapshot snap = live.snapshot();
+
+  LocalMcOptions opt;
+  opt.max_total_depth = 14;
+  opt.use_projection = true;
+  opt.max_transitions = 2'000;
+  opt.enable_system_states = false;
+  CountingInvariant explore_inv(*agreement);
+  LocalModelChecker explore(mc_cfg, &explore_inv, opt);
+  explore.run(snap.nodes, snap.in_flight);
+  EXPECT_EQ(explore_inv.project_calls.load(), 0u);
+
+  opt.enable_system_states = true;
+  CountingInvariant opt_inv(*agreement);
+  LocalModelChecker checked(mc_cfg, &opt_inv, opt);
+  checked.run(snap.nodes, snap.in_flight);
+  EXPECT_EQ(opt_inv.project_calls.load(), checked.stats().node_states);
+
+  CountingInvariant load_inv(*agreement);
+  LocalModelChecker loaded(mc_cfg, &load_inv, opt);
+  loaded.load_checkpoint_bytes(explore.checkpoint_bytes());
+  EXPECT_EQ(load_inv.project_calls.load(), explore.stats().node_states);
 }
 
 TEST(FaultDriver, FiresFaultsAtConfiguredRate) {

@@ -311,9 +311,10 @@ std::vector<Blob> build_5_5_live_state(const SystemConfig& cfg) {
 
 TEST(ParallelDeterminism, BuggyPaxosLiveStateAcrossThreadCounts) {
   // The OPT path on the workload that actually finds the WiDS bug: the
-  // projection-pair scan, feasibility pre-checks, quick soundness passes
-  // and the phase-2 drain all run sharded, yet every thread count must
-  // confirm the same violation with the same witness.
+  // projection-class scan runs inline on the applier, while the feasibility
+  // pre-checks, quick soundness passes and the phase-2 drain fan out over
+  // the pool, yet every thread count must confirm the same violation with
+  // the same witness.
   SystemConfig cfg = paxos::make_config(
       3, paxos::CoreOptions{0, /*bug=*/true}, paxos::DriverConfig{{0, 1}, 1});
   auto inv = paxos::make_agreement_invariant();
