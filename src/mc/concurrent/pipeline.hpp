@@ -90,7 +90,6 @@ class ExplorePipeline {
     return consumed_.load(std::memory_order_relaxed) < published_.load(std::memory_order_relaxed);
   }
 
-  std::uint64_t published_count() const { return published_.load(std::memory_order_relaxed); }
   std::uint64_t consumed_count() const { return consumed_.load(std::memory_order_relaxed); }
 
   /// Applier-only. Blocks until the next slot in publication order is
@@ -199,15 +198,9 @@ class ExplorePipeline {
     std::uint32_t k = segment_of(i);
     Slot* seg = segments_[k].load(std::memory_order_acquire);
     if (seg == nullptr && create) {
-      // Only the applier creates segments (it is the only publisher), but
-      // install with a CAS anyway so the invariant is structural.
-      Slot* fresh = new Slot[segment_capacity(k)];
-      if (segments_[k].compare_exchange_strong(seg, fresh, std::memory_order_acq_rel,
-                                               std::memory_order_acquire)) {
-        seg = fresh;
-      } else {
-        delete[] fresh;
-      }
+      // Only the applier creates segments: it is the only publisher.
+      seg = new Slot[segment_capacity(k)];
+      segments_[k].store(seg, std::memory_order_release);
     }
     return seg[i - segment_base(k)];
   }

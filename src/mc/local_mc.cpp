@@ -19,6 +19,10 @@ namespace {
 using obs::EventType;
 using obs::TraceEvent;
 
+/// Upper bound on the deferred soundness queue; each combination past it
+/// counts in stats.deferred_dropped.
+constexpr std::size_t kMaxDeferred = std::size_t{1} << 20;
+
 /// Trace-event builder: keeps the emission sites below one-liners.
 TraceEvent tev(EventType type, obs::Phase phase, std::uint32_t round, std::uint64_t a,
                std::uint64_t b, std::uint64_t c, double dur = 0.0,
@@ -419,6 +423,16 @@ void LocalModelChecker::record_fwd(NodeId n, std::uint32_t pred_idx, Hash64 ev_h
   por_fwd_[n].emplace(FwdKey{pred_idx, ev_hash}, FwdRec{out, succ});
 }
 
+void LocalModelChecker::execute_audited(Exec& e, const Blob& state, const Message* msg) {
+  e.result = e.is_message ? exec_message(cfg_, e.node, state, *msg)
+                          : exec_internal(cfg_, e.node, state, e.ev);
+  if (!opt_.audit_validity) return;
+  const AuditReport rep = e.is_message ? audit_message(cfg_, e.node, state, *msg, e.result)
+                                       : audit_internal(cfg_, e.node, state, e.ev, e.result);
+  audits_performed_.fetch_add(1, std::memory_order_relaxed);
+  if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
+}
+
 // The pipeline worker body: run the handler(s) of one task against
 // immutable published data (the record's blob/hash and the I+ entry's
 // msg/hash are write-once; the applier only ever mutates OTHER fields).
@@ -442,12 +456,7 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
     if (cache != nullptr && cache->peek(e.hash, rec.hash)) {
       ex.peek_hit = true;
     } else {
-      ex.result = exec_message(cfg_, t.node, rec.blob, e.msg);
-      if (opt_.audit_validity) {
-        const AuditReport rep = audit_message(cfg_, t.node, rec.blob, e.msg, ex.result);
-        audits_performed_.fetch_add(1, std::memory_order_relaxed);
-        if (!rep.ok) throw ModelValidityError(t.node, rep.detail);
-      }
+      execute_audited(ex, rec.blob, &e.msg);
     }
     if (timing) ex.exec_s = now_s() - tr0;
     out.push_back(std::move(ex));
@@ -463,12 +472,7 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
       if (cache != nullptr && cache->peek(ex.ev_hash, rec.hash)) {
         ex.peek_hit = true;
       } else {
-        ex.result = exec_internal(cfg_, t.node, rec.blob, ev);
-        if (opt_.audit_validity) {
-          const AuditReport rep = audit_internal(cfg_, t.node, rec.blob, ev, ex.result);
-          audits_performed_.fetch_add(1, std::memory_order_relaxed);
-          if (!rep.ok) throw ModelValidityError(t.node, rep.detail);
-        }
+        execute_audited(ex, rec.blob, nullptr);
       }
       if (timing) ex.exec_s = now_s() - tr0;
       out.push_back(std::move(ex));
@@ -494,22 +498,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
         // The worker's peek saw the pair but a generation rotation evicted
         // it before consumption: execute here (rare; still audited).
         const double tr0 = opt_.trace != nullptr || opt_.profile != nullptr ? now_s() : 0.0;
-        if (e.is_message) {
-          const Message* m = net_.find(e.ev_hash);
-          e.result = exec_message(cfg_, e.node, pred0.blob, *m);
-          if (opt_.audit_validity) {
-            const AuditReport rep = audit_message(cfg_, e.node, pred0.blob, *m, e.result);
-            audits_performed_.fetch_add(1, std::memory_order_relaxed);
-            if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
-          }
-        } else {
-          e.result = exec_internal(cfg_, e.node, pred0.blob, e.ev);
-          if (opt_.audit_validity) {
-            const AuditReport rep = audit_internal(cfg_, e.node, pred0.blob, e.ev, e.result);
-            audits_performed_.fetch_add(1, std::memory_order_relaxed);
-            if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
-          }
-        }
+        execute_audited(e, pred0.blob, e.is_message ? net_.find(e.ev_hash) : nullptr);
         if (opt_.trace != nullptr || opt_.profile != nullptr) e.exec_s = now_s() - tr0;
       }
       cache->insert(e.ev_hash, pred0.hash, e.result);
@@ -948,7 +937,7 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     // the verdict becomes final in the phase-2 drain, when the traversal
     // has reached its fixpoint (the paper's a-posteriori check, §4.2).
     auto defer = [&](Deferred&& d) {
-      if (deferred_.size() < opt_.soundness.max_deferred) {
+      if (deferred_.size() < kMaxDeferred) {
         deferred_.push_back(std::move(d));
         ++stats_.soundness_deferred;
       } else {
@@ -1310,7 +1299,7 @@ bool LocalModelChecker::sym_consider(std::vector<std::uint32_t>& combo,
   // phase-2 drain expands the whole orbit against the frozen store instead.
   ++stats_.prelim_violations;
   if (opt_.enable_soundness) {
-    if (deferred_.size() < opt_.soundness.max_deferred) {
+    if (deferred_.size() < kMaxDeferred) {
       Deferred d;
       d.combo = combo;
       d.sym = true;

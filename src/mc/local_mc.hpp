@@ -269,6 +269,10 @@ class LocalModelChecker {
   void explore_stream();
   std::uint64_t publish_round(Pipeline& pipe);
   std::vector<Exec> execute_task(const Task& t);
+  /// Run e's handler on `state` (the message `msg`, or e.ev for an internal
+  /// event) into e.result and, under audit_validity, audit it. Reads only
+  /// its arguments and the config: pipeline workers call it too.
+  void execute_audited(Exec& e, const Blob& state, const Message* msg);
   void apply_exec(Exec& e, std::uint64_t seq);
   void check_snapshot_combination();
   void check_combinations(NodeId n, std::uint32_t idx);

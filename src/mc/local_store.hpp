@@ -1,11 +1,11 @@
 // Shared data structures of the local model checker (§4.2).
 //
 // Per node n, LS_n holds every traversed local state of n. Following MaceMC,
-// a state is its serialized blob plus its 64-bit hash; blobs live in an
+// a state is its serialized blob plus its 64-bit hash; records live in an
 // append-only segmented log (stable references readable concurrently with
 // appends — the work-stealing phase 1 executes handlers against records the
-// applier is still appending after, DESIGN.md §12) with a striped lock-free
-// hash index beside it. Each record carries:
+// applier is still appending after, DESIGN.md §12) with a hash → index map
+// beside it that only the applier touches. Each record carries:
 //  * predecessors — all (previous state, event) pairs that produced it,
 //    with the hashes of the messages that execution generated (these are
 //    exactly what soundness verification needs, §4.2);
@@ -15,14 +15,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "mc/concurrent/hash_index.hpp"
 #include "mc/concurrent/segmented_log.hpp"
+#include "runtime/hash_index.hpp"
 #include "runtime/message.hpp"
 #include "runtime/types.hpp"
 
@@ -90,32 +89,10 @@ struct LocalViolation {
 
 /// The LS sets for all nodes. Records live in append-only segmented logs;
 /// pipeline workers may read any record below size(n) while the applier
-/// appends (the concurrency contract of SegLog/ConcurrentHashIndex).
+/// appends (the SegLog contract). The hash indexes are the applier's alone.
 class LocalStore {
  public:
-  explicit LocalStore(std::uint32_t num_nodes) : states_(num_nodes) {
-    index_.reserve(num_nodes);
-    for (std::uint32_t n = 0; n < num_nodes; ++n)
-      index_.push_back(std::make_unique<concurrent::ConcurrentHashIndex>());
-  }
-
-  LocalStore(LocalStore&&) noexcept = default;
-  LocalStore& operator=(LocalStore&&) noexcept = default;
-
-  // Copies are for quiesced stores only (checkpoint images, tests): the hash
-  // indexes are rebuilt from the copied records.
-  LocalStore(const LocalStore& o) : states_(o.states_) {
-    index_.reserve(states_.size());
-    for (std::size_t n = 0; n < states_.size(); ++n) {
-      index_.push_back(std::make_unique<concurrent::ConcurrentHashIndex>());
-      for (std::uint64_t i = 0; i < states_[n].size(); ++i)
-        index_[n]->insert_if_absent(states_[n][i].hash, static_cast<std::uint32_t>(i));
-    }
-  }
-  LocalStore& operator=(const LocalStore& o) {
-    if (this != &o) *this = LocalStore(o);
-    return *this;
-  }
+  explicit LocalStore(std::uint32_t num_nodes) : states_(num_nodes), index_(num_nodes) {}
 
   std::uint32_t num_nodes() const { return static_cast<std::uint32_t>(states_.size()); }
   std::uint32_t size(NodeId n) const { return static_cast<std::uint32_t>(states_[n].size()); }
@@ -123,15 +100,18 @@ class LocalStore {
   const NodeStateRec& rec(NodeId n, std::uint32_t idx) const { return states_[n][idx]; }
   NodeStateRec& rec(NodeId n, std::uint32_t idx) { return states_[n].mut(idx); }
 
-  /// Index of the state with hash h, or UINT32_MAX. Lock-free; safe against
-  /// a concurrent applier add().
-  std::uint32_t find(NodeId n, Hash64 h) const { return index_[n]->find(h); }
+  /// Index of the state with hash h, or UINT32_MAX. Not safe against a
+  /// concurrent add(): call it on the applier, or while the applier waits.
+  std::uint32_t find(NodeId n, Hash64 h) const { return index_[n].find(h); }
 
+  /// Append r unless LS_n already holds a state with its hash. Returns the
+  /// index of the state with that hash, so a return other than the old
+  /// size(n) flags a duplicate (and r is dropped).
   std::uint32_t add(NodeId n, NodeStateRec r) {
-    Hash64 h = r.hash;
-    auto idx = static_cast<std::uint32_t>(states_[n].push_back(std::move(r)));
-    index_[n]->insert_if_absent(h, idx);
-    return idx;
+    const std::uint32_t idx = size(n);
+    const std::uint32_t got = index_[n].insert_if_absent(r.hash, idx);
+    if (got == idx) states_[n].push_back(std::move(r));
+    return got;
   }
 
   std::uint64_t total_states() const {
@@ -158,7 +138,7 @@ class LocalStore {
 
  private:
   std::vector<concurrent::SegLog<NodeStateRec>> states_;
-  std::vector<std::unique_ptr<concurrent::ConcurrentHashIndex>> index_;
+  std::vector<HashIndex> index_;
 };
 
 }  // namespace lmc

@@ -44,8 +44,6 @@ struct SoundnessOptions {
   /// with the full cap only after exploration finishes, within the time
   /// budget. 0 disables the quick pass.
   std::uint64_t quick_expansions = 512;
-  /// Upper bound on the deferred queue; overflow sets a stats flag.
-  std::uint64_t max_deferred = 1u << 20;
 };
 
 struct SoundnessResult {

@@ -82,8 +82,8 @@ std::uint64_t Canonicalizer::orbit_size(
 }
 
 bool Canonicalizer::seen_or_mark(Hash64 orbit) {
-  if (seen_.contains(orbit)) return true;
-  seen_.insert_if_absent(orbit, static_cast<std::uint32_t>(seen_list_.size()));
+  const auto next = static_cast<std::uint32_t>(seen_list_.size());
+  if (seen_.insert_if_absent(orbit, next) != next) return true;
   seen_list_.push_back(orbit);
   return false;
 }
@@ -95,12 +95,10 @@ std::vector<Hash64> Canonicalizer::seen_sorted() const {
 }
 
 void Canonicalizer::restore_seen(const std::vector<Hash64>& seen) {
-  for (Hash64 h : seen_list_) seen_.erase(h);
-  seen_list_.clear();
-  for (Hash64 h : seen) {
-    seen_.insert_if_absent(h, static_cast<std::uint32_t>(seen_list_.size()));
-    seen_list_.push_back(h);
-  }
+  seen_ = HashIndex();
+  seen_list_ = seen;
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    seen_.insert_if_absent(seen[i], static_cast<std::uint32_t>(i));
 }
 
 namespace {

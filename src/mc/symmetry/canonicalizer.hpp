@@ -21,18 +21,17 @@
 //    for invariant evaluation and phase-2 soundness verification.
 //
 // The orbit seen-set lives here too: the canonical orbit hash of every
-// materialized combination, stored in a `ConcurrentHashIndex` (lock-free
-// reads; the applier is the only inserter) with a sorted mirror for
-// checkpointing.
+// materialized combination, stored in a `HashIndex` that only the applier
+// touches, with an insertion-order mirror that is sorted for checkpointing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "mc/concurrent/hash_index.hpp"
 #include "mc/symmetry/role_group.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/hash_index.hpp"
 #include "runtime/types.hpp"
 
 namespace lmc::symmetry {
@@ -137,7 +136,7 @@ class Canonicalizer {
   std::vector<NodeId> free_nodes_;
   std::vector<ClassUniverse> universes_;
 
-  concurrent::ConcurrentHashIndex seen_;
+  HashIndex seen_;
   std::vector<Hash64> seen_list_;  ///< insertion-order mirror (sorted on demand)
 };
 

@@ -3,12 +3,12 @@
 namespace lmc {
 
 bool MonotonicNetwork::add(Message m) {
-  Hash64 h = m.hash();
-  if (index_.count(h)) {
+  const Hash64 h = m.hash();
+  const auto next = static_cast<std::uint32_t>(entries_.size());
+  if (index_.insert_if_absent(h, next) != next) {
     ++suppressed_;
     return false;
   }
-  index_.emplace(h, entries_.size());
   entries_.push_back(Entry{std::move(m), h, 0});
   return true;
 }
@@ -16,7 +16,7 @@ bool MonotonicNetwork::add(Message m) {
 MonotonicNetwork MonotonicNetwork::restore(std::vector<Entry> entries, std::uint64_t suppressed) {
   MonotonicNetwork net;
   for (Entry& e : entries) {
-    net.index_.emplace(e.hash, net.entries_.size());
+    net.index_.insert_if_absent(e.hash, static_cast<std::uint32_t>(net.entries_.size()));
     net.entries_.push_back(std::move(e));
   }
   net.suppressed_ = suppressed;
@@ -24,9 +24,8 @@ MonotonicNetwork MonotonicNetwork::restore(std::vector<Entry> entries, std::uint
 }
 
 const Message* MonotonicNetwork::find(Hash64 h) const {
-  auto it = index_.find(h);
-  if (it == index_.end()) return nullptr;
-  return &entries_[it->second].msg;
+  const std::uint32_t i = index_.find(h);
+  return i == HashIndex::kNotFound ? nullptr : &entries_[i].msg;
 }
 
 std::vector<Hash64> MonotonicNetwork::all_hashes() const {

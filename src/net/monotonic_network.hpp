@@ -7,18 +7,19 @@
 // style "maximal knowledge").
 //
 // Two §4.2 implementation details live here:
-//  * duplicate suppression by content hash (duplicate-message limit = 0);
+//  * duplicate suppression by content hash (duplicate-message limit = 0),
+//    through a hash → entry index that only the applier touches;
 //  * a per-message cursor recording how many states of the destination node
 //    the message has already been executed on, so each round only touches
 //    newly added states.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "mc/concurrent/segmented_log.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/hash_index.hpp"
 #include "runtime/message.hpp"
 
 namespace lmc {
@@ -55,7 +56,8 @@ class MonotonicNetwork {
   Entry& at(std::size_t i) { return entries_.mut(i); }
   const Entry& at(std::size_t i) const { return entries_[i]; }
 
-  bool contains(Hash64 h) const { return index_.count(h) != 0; }
+  /// Lookups by hash are applier-only, like add().
+  bool contains(Hash64 h) const { return index_.contains(h); }
   const Message* find(Hash64 h) const;
 
   std::uint64_t suppressed() const { return suppressed_; }
@@ -69,7 +71,7 @@ class MonotonicNetwork {
 
  private:
   concurrent::SegLog<Entry> entries_;
-  std::unordered_map<Hash64, std::size_t> index_;  // hash -> entry position (applier-only)
+  HashIndex index_;  // hash -> entry position
   std::uint64_t suppressed_ = 0;
 };
 

@@ -9,6 +9,8 @@
 #include <tuple>
 #include <type_traits>
 
+#include "runtime/hash_index.hpp"
+
 namespace lmc {
 
 namespace {
@@ -274,7 +276,7 @@ void dec_store(Reader& r, CheckerImage& img) {
       for (const Pred& p : rec.preds) check(p.pred_idx < count, "pred index out of range");
       for (const Pred& p : rec.self_loops) check(p.pred_idx < count, "self-loop index out of range");
       check(std::is_sorted(rec.history.begin(), rec.history.end()), "history not sorted");
-      img.store.add(n, std::move(rec));
+      check(img.store.add(n, std::move(rec)) == i, "duplicate node state hash");
     }
   }
   r.expect_exhausted();
@@ -283,6 +285,7 @@ void dec_store(Reader& r, CheckerImage& img) {
 void dec_network(Reader& r, CheckerImage& img) {
   std::uint32_t n = r.u32();
   img.net_entries.reserve(n);
+  HashIndex seen;
   for (std::uint32_t i = 0; i < n; ++i) {
     MonotonicNetwork::Entry e;
     e.msg = read_message(r);
@@ -291,6 +294,7 @@ void dec_network(Reader& r, CheckerImage& img) {
     check(e.hash == e.msg.hash(), "network entry hash mismatch (corrupt message)");
     check(e.msg.dst < img.num_nodes, "network entry destination out of range");
     check(e.next_state <= img.store.size(e.msg.dst), "network cursor beyond store");
+    check(seen.insert_if_absent(e.hash, i) == i, "duplicate network message");
     img.net_entries.push_back(std::move(e));
   }
   img.net_suppressed = r.u64();

@@ -13,6 +13,7 @@
 #include "dfuzz/protogen.hpp"
 #include "mc/local_mc.hpp"
 #include "persist/checkpoint.hpp"
+#include "runtime/hash.hpp"
 
 namespace lmc {
 namespace {
@@ -137,6 +138,37 @@ TEST(CkptRobustness, SnapshotStateMustBeFirstStoreState) {
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("snapshot"), std::string::npos) << e.what();
   }
+}
+
+TEST(CkptRobustness, DuplicateStatesAndMessagesRejected) {
+  // Each hash is stored once: in LS_n and in I+. A re-encoded image that
+  // repeats a state or a message has a valid checksum, so only the
+  // decoders' duplicate checks can catch it.
+  auto expect_duplicate_rejected = [](const CheckerImage& img, const char* what) {
+    try {
+      decode_checkpoint(encode_checkpoint(img));
+      FAIL() << what << " must be rejected";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos) << e.what();
+    }
+  };
+
+  CheckerImage img = decode_checkpoint(sample_checkpoint());
+  ASSERT_GT(img.store.size(0), 1u);
+  // LS_0[1] appended again: add a placeholder state, then overwrite it
+  // (LocalStore::add itself refuses a stored hash).
+  NodeStateRec placeholder;
+  placeholder.blob = {0xde, 0xad};
+  placeholder.hash = hash_blob(placeholder.blob);
+  const std::uint32_t last = img.store.add(0, std::move(placeholder));
+  ASSERT_EQ(last + 1, img.store.size(0));
+  img.store.rec(0, last) = img.store.rec(0, 1);
+  expect_duplicate_rejected(img, "a repeated LS_0 state");
+
+  CheckerImage net_img = decode_checkpoint(sample_checkpoint());
+  ASSERT_FALSE(net_img.net_entries.empty());
+  net_img.net_entries.push_back(net_img.net_entries[0]);
+  expect_duplicate_rejected(net_img, "a repeated I+ message");
 }
 
 using StatPairs = std::vector<std::pair<std::string, std::uint64_t>>;

@@ -1,8 +1,7 @@
-// The lock-free concurrent tables behind the work-stealing phase 1
-// (DESIGN.md §12): SegLog reserve/commit storms, ConcurrentHashIndex
-// insert/lookup/tombstone storms, and ExplorePipeline order/error/backlog
-// semantics. These tests are the TSan targets for the tables — the checker
-// itself only exercises the single-writer subset (applier-only mutation).
+// The tables behind the work-stealing phase 1 (DESIGN.md §12): SegLog's
+// one-producer publication under concurrent readers, the single-writer
+// HashIndex, and ExplorePipeline order/error/backlog semantics. The
+// reader storm and the pipeline tests are TSan targets.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,14 +12,12 @@
 #include <thread>
 #include <vector>
 
-#include "mc/concurrent/hash_index.hpp"
 #include "mc/concurrent/pipeline.hpp"
 #include "mc/concurrent/segmented_log.hpp"
+#include "runtime/hash_index.hpp"
 
 namespace lmc::concurrent {
 namespace {
-
-constexpr unsigned kStormThreads = 8;
 
 // ---------------------------------------------------------------------------
 // SegLog
@@ -59,17 +56,16 @@ TEST(SegLog, CopyAndMoveKeepTheCommittedPrefix) {
   EXPECT_EQ(assigned[99], "v99");
 }
 
-TEST(SegLog, MultiProducerCommitStormWithConcurrentReaders) {
-  // 8 producers reserve/commit interleaved indices while 2 readers scan the
-  // committed prefix: every index below size() must already hold its final
-  // value (the watermark publishes fully constructed cells only).
-  constexpr std::uint64_t kPerThread = 4000;
-  constexpr std::uint64_t kTotal = kStormThreads * kPerThread;
+TEST(SegLog, OneProducerWithConcurrentReaders) {
+  // One producer appends while 3 readers scan below size(): every index a
+  // reader can see must already hold its final value (size() is published
+  // only after the element is built).
+  constexpr std::uint64_t kTotal = 40000;
   SegLog<std::uint64_t> log;
   std::atomic<bool> bad{false};
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       std::uint64_t n = 0;
       while (n < kTotal && !bad.load(std::memory_order_relaxed)) {
@@ -82,142 +78,49 @@ TEST(SegLog, MultiProducerCommitStormWithConcurrentReaders) {
       }
     });
   }
-  std::vector<std::thread> producers;
-  for (unsigned t = 0; t < kStormThreads; ++t) {
-    producers.emplace_back([&] {
-      for (std::uint64_t j = 0; j < kPerThread; ++j) {
-        const std::uint64_t i = log.reserve();
-        log.commit(i, i * 7 + 1);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
+  for (std::uint64_t i = 0; i < kTotal; ++i) log.push_back(i * 7 + 1);
   for (std::thread& t : readers) t.join();
 
-  EXPECT_FALSE(bad.load()) << "a reader saw a not-yet-committed cell below the watermark";
+  EXPECT_FALSE(bad.load()) << "a reader saw an unbuilt element below size()";
   ASSERT_EQ(log.size(), kTotal);
-  for (std::uint64_t i = 0; i < kTotal; ++i) ASSERT_EQ(log[i], i * 7 + 1) << "index " << i;
 }
 
 // ---------------------------------------------------------------------------
-// ConcurrentHashIndex
+// HashIndex (the suite keeps the name of the concurrent table it replaced)
 
 TEST(ConcurrentHashIndex, InsertFindEraseBasics) {
-  ConcurrentHashIndex idx(64);
-  EXPECT_EQ(idx.find(42), ConcurrentHashIndex::kNotFound);
+  HashIndex idx;
+  EXPECT_EQ(idx.find(42), HashIndex::kNotFound);
+  EXPECT_FALSE(idx.contains(42));
   EXPECT_EQ(idx.insert_if_absent(42, 7), 7u);
   EXPECT_EQ(idx.insert_if_absent(42, 99), 7u) << "duplicate insert returns the existing value";
   EXPECT_EQ(idx.find(42), 7u);
   EXPECT_TRUE(idx.contains(42));
   EXPECT_EQ(idx.size(), 1u);
 
-  EXPECT_TRUE(idx.erase(42));
-  EXPECT_FALSE(idx.erase(42));
-  EXPECT_EQ(idx.find(42), ConcurrentHashIndex::kNotFound);
-  EXPECT_EQ(idx.size(), 0u);
-
-  // Reinsert after a tombstone lands in a fresh slot and is findable.
-  EXPECT_EQ(idx.insert_if_absent(42, 8), 8u);
-  EXPECT_EQ(idx.find(42), 8u);
+  // Key 0 is an ordinary key (emptiness is marked by the value).
+  EXPECT_EQ(idx.find(0), HashIndex::kNotFound);
+  EXPECT_EQ(idx.insert_if_absent(0, 3), 3u);
+  EXPECT_EQ(idx.find(0), 3u);
+  EXPECT_EQ(idx.size(), 2u);
 }
 
 TEST(ConcurrentHashIndex, GrowthChainsTablesWithoutLosingKeys) {
-  // Push far past the initial capacity: growth chains larger tables in
-  // front; keys inserted before every growth stay reachable (no migration).
-  ConcurrentHashIndex idx(64);
+  // Push far past the first table, through many rehashes: every key keeps
+  // its value, including keys that all share one home slot.
+  HashIndex idx;
   constexpr std::uint32_t kKeys = 20000;
+  constexpr std::uint32_t kColliding = 1000;
   for (std::uint32_t i = 0; i < kKeys; ++i)
     ASSERT_EQ(idx.insert_if_absent(0x9e3779b97f4a7c15ull * (i + 1), i), i);
-  EXPECT_EQ(idx.size(), kKeys);
+  for (std::uint32_t i = 0; i < kColliding; ++i)
+    ASSERT_EQ(idx.insert_if_absent(std::uint64_t{i + 1} << 32, kKeys + i), kKeys + i);
+  EXPECT_EQ(idx.size(), kKeys + kColliding);
   for (std::uint32_t i = 0; i < kKeys; ++i)
     ASSERT_EQ(idx.find(0x9e3779b97f4a7c15ull * (i + 1)), i) << "key " << i;
-  EXPECT_GT(idx.bytes(), std::size_t{kKeys} * 16) << "chain footprint is accounted";
-}
-
-TEST(ConcurrentHashIndex, EightThreadInsertStormDisjointKeys) {
-  ConcurrentHashIndex idx(64);
-  constexpr std::uint32_t kPerThread = 3000;
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kStormThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint32_t j = 0; j < kPerThread; ++j) {
-        const std::uint32_t v = t * kPerThread + j;
-        const Hash64 key = 0x9e3779b97f4a7c15ull * (v + 1);
-        ASSERT_EQ(idx.insert_if_absent(key, v), v);
-        ASSERT_EQ(idx.find(key), v) << "own insert must be immediately visible";
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(idx.size(), std::size_t{kStormThreads} * kPerThread);
-  for (std::uint32_t v = 0; v < kStormThreads * kPerThread; ++v)
-    ASSERT_EQ(idx.find(0x9e3779b97f4a7c15ull * (v + 1)), v);
-}
-
-TEST(ConcurrentHashIndex, EightThreadSameKeyRaceHasOneWinner) {
-  // All threads race insert_if_absent on the SAME keys with different
-  // values: exactly one value per key wins and every thread observes it.
-  ConcurrentHashIndex idx(64);
-  constexpr std::uint32_t kKeys = 512;
-  std::vector<std::vector<std::uint32_t>> got(kStormThreads,
-                                              std::vector<std::uint32_t>(kKeys));
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kStormThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint32_t k = 0; k < kKeys; ++k)
-        got[t][k] = idx.insert_if_absent(1000 + k, t * kKeys + k);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(idx.size(), kKeys);
-  for (std::uint32_t k = 0; k < kKeys; ++k) {
-    const std::uint32_t winner = idx.find(1000 + k);
-    ASSERT_NE(winner, ConcurrentHashIndex::kNotFound);
-    for (unsigned t = 0; t < kStormThreads; ++t)
-      ASSERT_EQ(got[t][k], winner) << "thread " << t << " key " << k;
-  }
-}
-
-TEST(ConcurrentHashIndex, TombstoneStormKeepsProbeChainsIntact) {
-  // Writers erase/reinsert their own key slice while readers hammer find()
-  // across the whole key space: a reader must never see a key vanish that
-  // its slice-owner holds inserted, and tombstones must not break probes.
-  ConcurrentHashIndex idx(64);
-  constexpr std::uint32_t kKeys = 1024;
-  for (std::uint32_t k = 0; k < kKeys; ++k) idx.insert_if_absent(k + 1, k);
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> bad{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Even keys churn; odd keys are stable and must ALWAYS be found.
-        for (std::uint32_t k = 1; k < kKeys; k += 2)
-          if (idx.find(k + 1) != k) {
-            bad.store(true, std::memory_order_relaxed);
-            return;
-          }
-      }
-    });
-  }
-  std::vector<std::thread> writers;
-  for (unsigned t = 0; t < 4; ++t) {
-    writers.emplace_back([&, t] {
-      for (int round = 0; round < 200; ++round) {
-        for (std::uint32_t k = t * 2; k < kKeys; k += 8) {  // disjoint even slices
-          ASSERT_TRUE(idx.erase(k + 1));
-          ASSERT_EQ(idx.insert_if_absent(k + 1, k), k);
-        }
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  stop.store(true);
-  for (std::thread& t : readers) t.join();
-  EXPECT_FALSE(bad.load()) << "a stable key went missing during the tombstone storm";
-  EXPECT_EQ(idx.size(), kKeys);
-  for (std::uint32_t k = 0; k < kKeys; ++k) ASSERT_EQ(idx.find(k + 1), k);
+  for (std::uint32_t i = 0; i < kColliding; ++i)
+    ASSERT_EQ(idx.find(std::uint64_t{i + 1} << 32), kKeys + i) << "colliding key " << i;
+  EXPECT_EQ(idx.find(0x9e3779b97f4a7c15ull * (kKeys + 1)), HashIndex::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

@@ -567,6 +567,54 @@ TEST(Persist, ExecCacheReplaysIdenticalExploration) {
   expect_equal(fa, fingerprint(bare, cfg.num_nodes));
 }
 
+TEST(Persist, ExecCacheRotationIsThreadCountInvariant) {
+  // A cache half the size of the search, pre-warmed by the smaller
+  // max_inc = 2 search, whose pairs are scattered through the max_inc = 3
+  // one. The second run replays the pairs the cache kept, executes the
+  // rest, and inserts and rotates as it goes. At 4 threads the workers
+  // peek() while the applier inserts and rotates, so some peek hits are
+  // evicted before their consume and re-executed by the applier. None of
+  // that may change the run: executions, replays and the exploration equal
+  // the 1-thread run's.
+  SystemConfig cfg = counter_cfg(3, 3);
+  SystemConfig smaller = counter_cfg(3, 2);
+  PingLimitInvariant inv(6);
+  LocalMcOptions opt;
+  opt.stop_on_confirmed = false;
+
+  LocalModelChecker cold(cfg, &inv, opt);
+  cold.run_from_initial();
+  const std::uint64_t pairs = cold.stats().transitions;
+  ASSERT_GT(pairs, 16u);
+
+  struct WarmRun {
+    std::uint64_t transitions = 0;
+    std::uint64_t replays = 0;
+    Fingerprint fp;
+  };
+  auto warm_run = [&](std::uint32_t threads) {
+    ExecCache cache(pairs / 2);
+    LocalMcOptions o = opt;
+    o.exec_cache = &cache;
+    LocalModelChecker prewarm(smaller, &inv, o);
+    prewarm.run_from_initial();
+    o.num_threads = threads;
+    LocalModelChecker mc(cfg, &inv, o);
+    mc.run_from_initial();
+    return WarmRun{mc.stats().transitions, mc.stats().warm_pairs_skipped,
+                   fingerprint(mc, cfg.num_nodes)};
+  };
+  const WarmRun one = warm_run(1);
+  EXPECT_GT(one.replays, 0u) << "the pre-warmed cache must serve some pairs";
+  EXPECT_GT(one.transitions, pairs / 4) << "and miss enough of them to rotate";
+  EXPECT_EQ(one.transitions + one.replays, pairs) << "every pair runs once: executed or replayed";
+
+  const WarmRun four = warm_run(4);
+  EXPECT_EQ(four.transitions, one.transitions);
+  EXPECT_EQ(four.replays, one.replays);
+  expect_equal(one.fp, four.fp);
+}
+
 TEST(Persist, ExecCacheFileRoundTripAndRejectsCorruption) {
   SystemConfig cfg = counter_cfg(2, 2);
   PingLimitInvariant inv(100);
