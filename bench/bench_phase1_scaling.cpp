@@ -1,8 +1,8 @@
-// Phase-1 work-stealing scaling (DESIGN.md §12): handler execution fanned
-// out over the ExplorePipeline, on a synthetic ring protocol whose handlers
-// burn a deterministic amount of CPU — the regime the pipeline exists for
-// (real protocol handlers doing real work, not micro-handlers bounded by
-// publish overhead).
+// Phase-1 scaling (DESIGN.md §12): handler execution fanned out in chunks
+// over the checker's worker pool, on a synthetic ring protocol whose
+// handlers burn a deterministic amount of CPU — the regime parallel phase 1
+// exists for (real protocol handlers doing real work, not micro-handlers
+// bounded by the applier).
 //
 // Runs LMC-explore (system-state creation off) so the measured wall time IS
 // phase 1, at 1/2/4/8 threads. Prints, per thread count: wall time, handler
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     return std::make_unique<HeavyRingNode>(self, n, max_inc, work);
   };
 
-  std::printf("# phase-1 work-stealing scaling — heavy-handler ring (LMC-explore)\n");
+  std::printf("# phase-1 worker-pool scaling — heavy-handler ring (LMC-explore)\n");
   std::printf("# handlers/s = transitions / wall; identical = normalized checkpoint bytes\n");
   std::printf("%8s %10s %12s %10s %12s %10s\n", "threads", "wall_s", "handlers/s", "speedup",
               "transitions", "identical");

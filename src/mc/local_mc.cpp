@@ -1,6 +1,7 @@
 #include "mc/local_mc.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 #include <utility>
 
@@ -22,6 +23,14 @@ using obs::TraceEvent;
 /// Upper bound on the deferred soundness queue; each combination past it
 /// counts in stats.deferred_dropped.
 constexpr std::size_t kMaxDeferred = std::size_t{1} << 20;
+
+/// Phase-1 tasks one pool fan-out executes before the applier applies them,
+/// when the run has more than one lane. Chosen by lmcbench `check_s_par`
+/// (3 lanes, 4-core box, 4 alternating runs): paxos-explore medians read
+/// 1.30/1.21/1.25/1.13 s at chunks of 256/512/1024/2048, paxos-online
+/// 0.46/0.43/0.47/0.44 s. 512 is within the run-to-run spread of the best,
+/// and a smaller chunk delays the budget probe less (DESIGN.md §12).
+constexpr std::size_t kPhase1Chunk = 512;
 
 /// Trace-event builder: keeps the emission sites below one-liners.
 TraceEvent tev(EventType type, obs::Phase phase, std::uint32_t round, std::uint64_t a,
@@ -98,7 +107,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   base_elapsed_s_ = 0.0;
   cur_round_ = 0;
   segment_id_ = 0;
-  pipeline_dropped_ = 0;
+  handler_errors_dropped_ = 0;
 
   start_ = StartSnapshot{nodes, in_flight, {}};
   for (NodeId n = 0; n < cfg_.num_nodes; ++n) {
@@ -215,12 +224,12 @@ void LocalModelChecker::resolve_por() {
 
 // One cursor-scan generation (Fig. 9): publish, in deterministic scan
 // order, every (message, state) pair and internal-event task the store and
-// I+ grew since the last scan. Runs on the applier only, between consume
-// streams — publication order is therefore a pure function of the
+// I+ grew since the last scan. Runs on the applier only, between
+// generations — publication order is therefore a pure function of the
 // exploration, independent of thread count.
-std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
+std::vector<LocalModelChecker::Task> LocalModelChecker::publish_round() {
   const std::uint32_t bound = expand_bound();
-  std::uint64_t published = 0;
+  std::vector<Task> tasks;
   std::uint64_t round_pruned = 0;
 
   // POR pairs deferred by the previous generation: their pred records (if
@@ -239,8 +248,7 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
         ++round_pruned;
         continue;
       }
-      pipe.publish(t);
-      ++published;
+      tasks.push_back(t);
     }
   }
 
@@ -271,8 +279,7 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
           continue;
         }
       }
-      pipe.publish(Task{true, i, d, idx});
-      ++published;
+      tasks.push_back(Task{true, i, d, idx});
     }
     e.next_state = limit;
   }
@@ -286,12 +293,11 @@ std::uint64_t LocalModelChecker::publish_round(Pipeline& pipe) {
     const std::uint32_t limit = store_.size(n);
     for (std::uint32_t idx = internal_scan_[n]; idx < limit; ++idx) {
       if (store_.rec(n, idx).depth >= bound) continue;
-      pipe.publish(Task{false, 0, n, idx});
-      ++published;
+      tasks.push_back(Task{false, 0, n, idx});
     }
     internal_scan_[n] = limit;
   }
-  return published;
+  return tasks;
 }
 
 // DESIGN.md §14: decide at publish time whether delivering message e to
@@ -433,13 +439,11 @@ void LocalModelChecker::execute_audited(Exec& e, const Blob& state, const Messag
   if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
 }
 
-// The pipeline worker body: run the handler(s) of one task against
-// immutable published data (the record's blob/hash and the I+ entry's
-// msg/hash are write-once; the applier only ever mutates OTHER fields).
-// With an exec cache attached the worker probes with peek() and skips
-// execution on a hit — the applier finalizes the cached verdict
-// authoritatively at consume time, so results never depend on worker
-// timing.
+// A pool lane's body: run the handler(s) of one task against the store
+// and I+, which nothing writes while a chunk executes. With an exec cache
+// attached the lane probes with peek() and skips execution on a hit — the
+// applier finalizes the cached verdict authoritatively at apply time, so
+// results never depend on lane timing.
 std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task& t) {
   std::vector<Exec> out;
   ExecCache* const cache = opt_.exec_cache;
@@ -483,10 +487,10 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
 
 void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   // Finalize the exec-cache verdict authoritatively on the applier, in
-  // consume order: within a run every (event, state) pair executes at most
-  // once (cursor discipline), so this lookup hits exactly when an EARLIER
-  // run inserted the pair — the same verdict a serial run computes. The
-  // worker's speculative peek() only decided whether to bother executing.
+  // publication order: within a run every (event, state) pair executes at
+  // most once (cursor discipline), so this lookup hits exactly when an
+  // EARLIER run inserted the pair — the same verdict a serial run computes.
+  // The lane's speculative peek() only decided whether to bother executing.
   if (ExecCache* const cache = opt_.exec_cache; cache != nullptr) {
     const NodeStateRec& pred0 = store_.rec(e.node, e.pred_idx);
     ExecResult replay;
@@ -495,8 +499,8 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
       e.result = std::move(replay);
     } else {
       if (e.peek_hit) {
-        // The worker's peek saw the pair but a generation rotation evicted
-        // it before consumption: execute here (rare; still audited).
+        // The lane's peek saw the pair but a generation rotation evicted it
+        // before this apply: execute here (rare; still audited).
         const double tr0 = opt_.trace != nullptr || opt_.profile != nullptr ? now_s() : 0.0;
         execute_audited(e, pred0.blob, e.is_message ? net_.find(e.ev_hash) : nullptr);
         if (opt_.trace != nullptr || opt_.profile != nullptr) e.exec_s = now_s() - tr0;
@@ -508,7 +512,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
                                    e.is_message ? 1 : 0, e.ev_hash, e.cached ? 1 : 0,
                                    e.exec_s, e.node, seq)));
   // Per-rule cost attribution. All fields are computed from the Exec alone
-  // (identity: a pure function of the exploration); exec_s is worker wall
+  // (identity: a pure function of the exploration); exec_s is lane wall
   // time (attribution). hash_bytes anticipates the hash_blob below — zero
   // when the assert policy will discard the state before it is hashed.
   if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
@@ -1369,19 +1373,18 @@ void LocalModelChecker::finalize_stats() {
   stats_.elapsed_s = base_elapsed_s_ + (now_s() - run_t0_);
 }
 
-// Cooperative safepoint: called after every consumed task group, not just
-// between generations, so `checkpoint_every_s` is honored even while a
-// generation of slow handlers is in flight. Unconsumed published tasks
-// (whose cursors already advanced at publish time) are materialized as
-// `pending` for the image — exactly what a budget stop serializes — and a
-// resume re-executes them in publication order.
-void LocalModelChecker::maybe_auto_checkpoint() {
+// Cooperative safepoint: called after every applied task, not just between
+// generations, so `checkpoint_every_s` is honored even while a generation
+// of slow handlers is in flight. The generation's unapplied tasks (whose
+// cursors already advanced at publish time) are materialized as `pending`
+// for the image — exactly what a budget stop serializes — and a resume
+// re-executes them in publication order.
+void LocalModelChecker::maybe_auto_checkpoint(std::span<const Task> unapplied) {
   if (opt_.checkpoint_every_s <= 0.0 || opt_.checkpoint_path.empty() || stop_) return;
   const double now = now_s();
   if (now - last_checkpoint_s_ < opt_.checkpoint_every_s) return;
   last_checkpoint_s_ = now;
-  const bool backlog = pipe_ != nullptr && pipe_->have_pending();
-  if (backlog) pending_tasks_ = pipe_->backlog_tasks();
+  pending_tasks_.assign(unapplied.begin(), unapplied.end());
   ++stats_.checkpoints_written;  // before encoding: the file must carry it
   finalize_stats();
   bool ok = true;
@@ -1395,25 +1398,82 @@ void LocalModelChecker::maybe_auto_checkpoint() {
     ++stats_.checkpoint_failures;
     ok = false;
   }
-  if (backlog) pending_tasks_.clear();  // the live pipeline still owns them
+  pending_tasks_.clear();  // the live generation still owns them
   LMC_TRACE(opt_.trace, record(tev(EventType::kCheckpointSave, obs::Phase::kCheckpoint,
                                    cur_round_, ok ? 1 : 0, stats_.checkpoints_written, 0,
                                    now_s() - now)));
 }
 
-// The phase-1 driver: a work-stealing stream replacing the old
-// execute-all-then-apply-all round barrier. Each generation's tasks are
-// published in deterministic cursor-scan order; workers (and the applier,
-// when it reaches an unclaimed slot) execute handlers concurrently while
-// the applier consumes results strictly in publication order — so every
-// checker-state mutation, stop decision and trace event happens on the
-// applier in an order independent of thread count. Budget stops happen at
-// task-group boundaries ONLY: the unconsumed backlog (whose cursors already
-// advanced at publish time) is captured in pending_tasks_, so a checkpoint
-// taken after the stop resumes by re-executing exactly those tasks, in
-// order — the resumed exploration is indistinguishable from an
-// uninterrupted one. A confirmed-violation stop (stop_on_confirmed) drops
-// the remainder of its own group, matching the historical semantics.
+// Apply one generation of tasks in publication order. With one lane each
+// task executes right before it is applied. With more, the pool executes
+// kPhase1Chunk tasks at a time into per-task slots, and the applier then
+// applies them in order; nothing writes the store or I+ while a chunk
+// executes, so every lane reads quiescent tables. Every checker-state
+// mutation, stop decision and trace event happens on the applier in an
+// order independent of thread count. Budget stops happen between tasks
+// ONLY: the unapplied tail (whose cursors already advanced at publish time)
+// is captured in pending_tasks_ even when a lane already executed part of
+// it, so a checkpoint taken after the stop resumes by re-executing exactly
+// those tasks, in order — the resumed exploration is indistinguishable from
+// an uninterrupted one. A confirmed-violation stop (stop_on_confirmed)
+// drops the remaining executions of its own task, matching the historical
+// semantics.
+void LocalModelChecker::apply_generation(const std::vector<Task>& tasks) {
+  ++cur_round_;
+  LMC_TRACE(opt_.trace, record(tev(EventType::kRoundBegin, obs::Phase::kRun, cur_round_,
+                                   tasks.size(), 0, 0)));
+  const double t0 = now_s();
+  const std::size_t chunk = pool_width() > 1 ? kPhase1Chunk : 1;
+  std::vector<std::vector<Exec>> execs(std::min(chunk, tasks.size()));
+  std::vector<std::exception_ptr> errors(execs.size());
+  for (std::size_t begin = 0; begin < tasks.size() && !stop_; begin += chunk) {
+    const std::size_t n = std::min(chunk, tasks.size() - begin);
+    pool_run(n, [&](std::size_t i) {
+      try {
+        execs[i] = execute_task(tasks[begin + i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+    for (std::size_t i = 0; i < n && !stop_; ++i) {
+      if (errors[i]) {
+        // A handler exception aborts the run at its publication position.
+        // Later tasks of the chunk may hold further exceptions that will
+        // never be rethrown — count and trace them instead of losing them.
+        std::uint64_t others = 0;
+        for (std::size_t j = i + 1; j < n; ++j) others += errors[j] != nullptr ? 1 : 0;
+        if (others > 0) {
+          handler_errors_dropped_ += others;
+          LMC_TRACE(opt_.trace, record(tev(EventType::kWorkerError, obs::Phase::kRun,
+                                           cur_round_, others, /*source=*/0, 0)));
+        }
+        std::rethrow_exception(errors[i]);
+      }
+      const std::size_t seq = begin + i;
+      for (Exec& e : execs[i]) {
+        if (stop_) break;
+        apply_exec(e, seq);
+      }
+      execs[i].clear();
+      if (!stop_ && budget_exceeded()) {
+        stats_.completed = false;
+        stop_ = true;
+      }
+      const auto unapplied = std::span<const Task>(tasks).subspan(seq + 1);
+      if (stop_)
+        pending_tasks_.assign(unapplied.begin(), unapplied.end());
+      else
+        maybe_auto_checkpoint(unapplied);  // cooperative safepoint (slow-handler fix)
+    }
+  }
+  refresh_memory_stats();
+  LMC_TRACE(opt_.trace, record(tev(EventType::kRoundEnd, obs::Phase::kRun, cur_round_,
+                                   tasks.size(), stats_.node_states, net_.size(),
+                                   now_s() - t0)));
+}
+
+// Phase 1: publish a generation, apply it, repeat until the fixpoint or a
+// stop; then phase 2 drains the deferred soundness checks.
 void LocalModelChecker::explore_stream() {
   last_checkpoint_s_ = now_s();
   stats_.completed = true;
@@ -1435,65 +1495,12 @@ void LocalModelChecker::explore_stream() {
     return;
   }
 
-  Pipeline pipe(opt_.num_threads > 1 ? opt_.num_threads - 1 : 0,
-                [this](const Task& t) { return execute_task(t); });
-  pipe_ = &pipe;
-  struct PipeGuard {  // exceptions unwind through here; the dtor joins
-    LocalModelChecker* mc;
-    ~PipeGuard() { mc->pipe_ = nullptr; }
-  } guard{this};
-
-  // Consume everything currently published, in publication order.
-  auto stream_round = [&](std::uint64_t published) {
-    ++cur_round_;
-    LMC_TRACE(opt_.trace, record(tev(EventType::kRoundBegin, obs::Phase::kRun, cur_round_,
-                                     published, 0, 0)));
-    const double t0 = now_s();
-    std::uint64_t seq = 0;
-    while (pipe.have_pending()) {
-      Pipeline::Slot& slot = pipe.front();
-      if (slot.error) {
-        // A worker exception aborts the run at its publication position.
-        // Later READY slots may hold further exceptions that will never be
-        // rethrown — count and trace them instead of losing them silently.
-        pipe.stop_and_join();
-        const std::uint64_t others = pipe.count_dropped_errors() - 1;
-        if (others > 0) {
-          pipeline_dropped_ += others;
-          LMC_TRACE(opt_.trace, record(tev(EventType::kWorkerError, obs::Phase::kRun,
-                                           cur_round_, others, /*source=*/0, 0)));
-        }
-        std::rethrow_exception(slot.error);
-      }
-      for (Exec& e : slot.execs) {
-        if (stop_) break;
-        apply_exec(e, seq);
-      }
-      pipe.pop();
-      ++seq;
-      if (!stop_ && budget_exceeded()) {
-        stats_.completed = false;
-        stop_ = true;
-      }
-      if (stop_) {
-        pending_tasks_ = pipe.backlog_tasks();
-        break;
-      }
-      maybe_auto_checkpoint();  // cooperative safepoint (slow-handler fix)
-    }
-    refresh_memory_stats();
-    LMC_TRACE(opt_.trace, record(tev(EventType::kRoundEnd, obs::Phase::kRun, cur_round_,
-                                     published, stats_.node_states, net_.size(),
-                                     now_s() - t0)));
-  };
-
   // Resume path: finish the generation that was interrupted (its cursors
   // had already advanced past these tasks when the checkpoint was taken).
   if (!pending_tasks_.empty() && !stop_) {
-    std::vector<Task> pend = std::move(pending_tasks_);
+    const std::vector<Task> pend = std::move(pending_tasks_);
     pending_tasks_.clear();
-    for (const Task& t : pend) pipe.publish(t);
-    stream_round(pend.size());
+    apply_generation(pend);
   }
 
   while (!stop_) {
@@ -1501,14 +1508,13 @@ void LocalModelChecker::explore_stream() {
       stats_.completed = false;
       break;
     }
-    const std::uint64_t published = publish_round(pipe);
+    const std::vector<Task> tasks = publish_round();
     // Fixpoint: exploration exhausted — but deferred POR pairs still count
     // as pending work (the next generation decides them without deferring).
-    if (published == 0 && por_deferred_.empty()) break;
-    stream_round(published);
-    maybe_auto_checkpoint();
+    if (tasks.empty() && por_deferred_.empty()) break;
+    apply_generation(tasks);
+    maybe_auto_checkpoint({});
   }
-  pipe.stop_and_join();
   // Phase 2: re-verify the combinations the quick pass could not decide.
   if (!stop_) process_deferred();
   if (stop_ && !violations_.empty()) stats_.completed = false;

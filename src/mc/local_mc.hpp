@@ -7,15 +7,14 @@
 // Exploration follows Fig. 9's fixpoint: every message in I+ is executed
 // on every not-yet-tried state of its destination node, and every state's
 // enabled internal events are executed once. The cursor scans that discover
-// this work publish tasks in deterministic order into a work-stealing
-// pipeline (mc/concurrent/pipeline.hpp): workers execute the pure handler
-// part concurrently while the applier consumes results in publication order
-// — there is no round barrier serializing handler execution, and the
-// exploration is byte-identical at any thread count (DESIGN.md §12). New
-// states record predecessor pointers (event hash + generated-message
-// hashes). System states are materialized only transiently, to check the
-// invariant; a preliminary violation is confirmed by SoundnessVerifier
-// before being reported.
+// this work list each generation's tasks in deterministic order; the pure
+// handler part of a chunk of tasks runs on the worker pool, and the applier
+// then applies the chunk's results in that order, so the exploration is
+// byte-identical at any thread count (DESIGN.md §12). New states record
+// predecessor pointers (event hash + generated-message hashes). System
+// states are materialized only transiently, to check the invariant; a
+// preliminary violation is confirmed by SoundnessVerifier before being
+// reported.
 //
 // Variants (Figures 10-13):
 //  * LMC-GEN: use_projection = false — every combination containing the new
@@ -34,13 +33,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "analyze/independence/independence.hpp"
-#include "mc/concurrent/pipeline.hpp"
 #include "mc/invariant.hpp"
 #include "mc/local_store.hpp"
 #include "mc/parallel_local_mc.hpp"
@@ -86,9 +85,9 @@ struct LocalMcOptions {
   AssertPolicy assert_policy = AssertPolicy::DiscardState;
 
   /// Threads for the parallel phases (1 = sequential): phase-1 handler
-  /// execution (a work-stealing pipeline of num_threads - 1 workers plus
-  /// the applier — tasks are published in deterministic cursor-scan order
-  /// and their results consumed in exactly that order), the LMC-GEN
+  /// execution (the pool executes a chunk of a generation's tasks, then
+  /// the applier applies their results in deterministic cursor-scan order;
+  /// at 1 thread each task executes right before it is applied), the LMC-GEN
   /// combination sweep per new node state (Cartesian shards), soundness
   /// verification of the sweep's preliminary violations, and the phase-2
   /// deferred drain. The LMC-OPT sweep tests one projection class per
@@ -96,8 +95,8 @@ struct LocalMcOptions {
   /// merge in deterministic publication/enumeration order on the calling
   /// thread, so exploration, confirmed violations, witness schedules and
   /// checkpoints are byte-identical for any thread count. Invariants must
-  /// be thread-safe for concurrent const use (pure predicates are). The
-  /// pools are lazily created, kept across rounds, and never serialized.
+  /// be thread-safe for concurrent const use (pure predicates are). The one
+  /// pool is lazily created, kept across rounds, and never serialized.
   unsigned num_threads = 1;
 
   /// Safety cap on combinations materialized per new node state (GEN).
@@ -107,8 +106,8 @@ struct LocalMcOptions {
   /// state to `checkpoint_path` (atomically) every `checkpoint_every_s`
   /// wall seconds, at cooperative safepoints between task groups — the
   /// interval is honored even inside a long generation of slow handlers
-  /// (unconsumed published tasks are serialized as `pending`, exactly like
-  /// a budget stop). 0 disables.
+  /// (the generation's unapplied tasks are serialized as `pending`, exactly
+  /// like a budget stop). 0 disables.
   double checkpoint_every_s = 0.0;
   std::string checkpoint_path;
 
@@ -211,11 +210,12 @@ class LocalModelChecker {
   /// workers that run the audits, so it is a runtime atomic, not a stat.
   std::uint64_t audits_performed() const { return audits_performed_.load(std::memory_order_relaxed); }
   /// Worker exceptions beyond the first (rethrown) one of a failing fan-out
-  /// — counted instead of silently lost, across both the phase-1 pipeline
-  /// and the phase-2 WorkerPool. A runtime count, not a stat; also
-  /// surfaced as kWorkerError trace events and in lmc_report.
+  /// — counted instead of silently lost: phase-1 handler errors of a chunk
+  /// published after the rethrown one, and secondary sweep/soundness
+  /// errors of the WorkerPool. A runtime count, not a stat; also surfaced
+  /// as kWorkerError trace events and in lmc_report.
   std::uint64_t worker_exceptions_dropped() const {
-    return pipeline_dropped_ + (pool_ ? pool_->dropped_exceptions() : 0);
+    return handler_errors_dropped_ + (pool_ ? pool_->dropped_exceptions() : 0);
   }
   const std::vector<LocalViolation>& violations() const { return violations_; }
   /// First confirmed violation, or nullptr.
@@ -252,26 +252,26 @@ class LocalModelChecker {
   struct Exec {
     bool is_message = false;
     bool cached = false;  ///< result replayed from opt_.exec_cache, not executed
-    /// Worker-side peek() saw the pair in the cache and skipped execution;
-    /// the applier fetches (or, if a rotation evicted it meanwhile,
-    /// re-executes) the result at consume time — see apply_exec.
+    /// The executing lane's peek() saw the pair in the cache and skipped
+    /// execution; the applier fetches (or, if a rotation evicted it
+    /// meanwhile, re-executes) the result at apply time — see apply_exec.
     bool peek_hit = false;
     Hash64 ev_hash = 0;
     NodeId node = 0;
     std::uint32_t pred_idx = 0;
     ExecResult result;
     InternalEvent ev;      ///< internal tasks: the executed event
-    double exec_s = 0.0;   ///< worker-measured handler seconds (tracing/profiling only)
+    double exec_s = 0.0;   ///< lane-measured handler seconds (tracing/profiling only)
   };
-  using Pipeline = concurrent::ExplorePipeline<Task, Exec>;
 
   void init_run(const std::vector<Blob>& nodes, const std::vector<Message>& in_flight);
   void explore_stream();
-  std::uint64_t publish_round(Pipeline& pipe);
+  std::vector<Task> publish_round();
+  void apply_generation(const std::vector<Task>& tasks);
   std::vector<Exec> execute_task(const Task& t);
   /// Run e's handler on `state` (the message `msg`, or e.ev for an internal
   /// event) into e.result and, under audit_validity, audit it. Reads only
-  /// its arguments and the config: pipeline workers call it too.
+  /// its arguments and the config: pool lanes call it too.
   void execute_audited(Exec& e, const Blob& state, const Message* msg);
   void apply_exec(Exec& e, std::uint64_t seq);
   void check_snapshot_combination();
@@ -283,7 +283,8 @@ class LocalModelChecker {
   bool hard_budget_exceeded() const;
   void refresh_memory_stats();
   void finalize_stats();
-  void maybe_auto_checkpoint();
+  /// `unapplied`: the live generation's tasks not yet applied.
+  void maybe_auto_checkpoint(std::span<const Task> unapplied);
   CheckerImage make_image() const;
 
   const SystemConfig& cfg_;
@@ -385,12 +386,9 @@ class LocalModelChecker {
   /// Runtime-only worker pool — deliberately NOT part of CheckerImage /
   /// checkpoints (persist/FORMAT.md): thread state is not exploration state.
   std::unique_ptr<WorkerPool> pool_;
-  /// The live phase-1 pipeline while explore_stream runs (for safepoint
-  /// checkpoints to materialize the backlog); null otherwise. Runtime-only.
-  Pipeline* pipe_ = nullptr;
-  /// Secondary pipeline-worker exceptions accounted at an aborting consume
+  /// Phase-1 handler errors of a chunk published after the one rethrown
   /// (see worker_exceptions_dropped()).
-  std::uint64_t pipeline_dropped_ = 0;
+  std::uint64_t handler_errors_dropped_ = 0;
 
   /// Resolved symmetry context (classes, universes, orbit seen-set); null
   /// when the reduction is inactive. Rebuilt by resolve_symmetry.

@@ -2,10 +2,10 @@
 //
 // Per node n, LS_n holds every traversed local state of n. Following MaceMC,
 // a state is its serialized blob plus its 64-bit hash; records live in an
-// append-only segmented log (stable references readable concurrently with
-// appends — the work-stealing phase 1 executes handlers against records the
-// applier is still appending after, DESIGN.md §12) with a hash → index map
-// beside it that only the applier touches. Each record carries:
+// append-only deque (references stay valid across appends) with a hash →
+// index map beside it. Only the applier writes either; phase-1 handlers
+// read records between its writes, never during them (DESIGN.md §12).
+// Each record carries:
 //  * predecessors — all (previous state, event) pairs that produced it,
 //    with the hashes of the messages that execution generated (these are
 //    exactly what soundness verification needs, §4.2);
@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "mc/concurrent/segmented_log.hpp"
 #include "runtime/hash_index.hpp"
 #include "runtime/message.hpp"
 #include "runtime/types.hpp"
@@ -87,9 +87,8 @@ struct LocalViolation {
   Schedule witness;                   ///< feasible total order (if confirmed)
 };
 
-/// The LS sets for all nodes. Records live in append-only segmented logs;
-/// pipeline workers may read any record below size(n) while the applier
-/// appends (the SegLog contract). The hash indexes are the applier's alone.
+/// The LS sets for all nodes: per node, an append-only deque of records and
+/// a hash index over it.
 class LocalStore {
  public:
   explicit LocalStore(std::uint32_t num_nodes) : states_(num_nodes), index_(num_nodes) {}
@@ -98,10 +97,9 @@ class LocalStore {
   std::uint32_t size(NodeId n) const { return static_cast<std::uint32_t>(states_[n].size()); }
 
   const NodeStateRec& rec(NodeId n, std::uint32_t idx) const { return states_[n][idx]; }
-  NodeStateRec& rec(NodeId n, std::uint32_t idx) { return states_[n].mut(idx); }
+  NodeStateRec& rec(NodeId n, std::uint32_t idx) { return states_[n][idx]; }
 
-  /// Index of the state with hash h, or UINT32_MAX. Not safe against a
-  /// concurrent add(): call it on the applier, or while the applier waits.
+  /// Index of the state with hash h, or UINT32_MAX.
   std::uint32_t find(NodeId n, Hash64 h) const { return index_[n].find(h); }
 
   /// Append r unless LS_n already holds a state with its hash. Returns the
@@ -123,10 +121,8 @@ class LocalStore {
   /// Approximate heap footprint (Fig. 12 accounting).
   std::size_t bytes() const {
     std::size_t b = 0;
-    for (std::size_t n = 0; n < states_.size(); ++n) {
-      const auto& d = states_[n];
-      for (std::uint64_t i = 0; i < d.size(); ++i) {
-        const NodeStateRec& r = d[i];
+    for (const auto& d : states_) {
+      for (const NodeStateRec& r : d) {
         b += sizeof(NodeStateRec) + r.blob.capacity() + r.history.capacity() * sizeof(Hash64);
         for (const Pred& p : r.preds) b += sizeof(Pred) + p.gen.capacity() * sizeof(Hash64);
         for (const Pred& p : r.self_loops) b += sizeof(Pred) + p.gen.capacity() * sizeof(Hash64);
@@ -137,7 +133,7 @@ class LocalStore {
   }
 
  private:
-  std::vector<concurrent::SegLog<NodeStateRec>> states_;
+  std::vector<std::deque<NodeStateRec>> states_;
   std::vector<HashIndex> index_;
 };
 

@@ -3,9 +3,10 @@
 // §1 (contributions): "Having the exploration, system state creation, and
 // soundness verification decoupled, the model checking process can be
 // embarrassingly parallelized." Three phases of an LMC round are fanned out
-// over threads:
-//  * handler execution — tasks read immutable node states and write results
-//    to per-index slots;
+// over the checker's one pool:
+//  * handler execution — a chunk of a generation's tasks reads node states
+//    and I+ entries that nothing writes during the fan-out, and writes each
+//    task's results, or its exception, to the task's slot;
 //  * the LMC-GEN combination sweep (the Cartesian product) — shards of the
 //    enumeration space emit preliminary violations tagged with their
 //    enumeration index (the LMC-OPT sweep needs no shards: it tests one
@@ -20,7 +21,8 @@
 // creation would dominate them. A worker exception does not cross the
 // std::thread boundary (which would std::terminate the process): the first
 // one is captured, remaining tasks are abandoned, and run() rethrows it on
-// the calling thread.
+// the calling thread. (Phase 1 catches each handler's exception in its task
+// slot instead, so the applier can rethrow in publication order.)
 #pragma once
 
 #include <atomic>

@@ -31,13 +31,13 @@ const Message* MonotonicNetwork::find(Hash64 h) const {
 std::vector<Hash64> MonotonicNetwork::all_hashes() const {
   std::vector<Hash64> v;
   v.reserve(entries_.size());
-  for (std::uint64_t i = 0; i < entries_.size(); ++i) v.push_back(entries_[i].hash);
+  for (const Entry& e : entries_) v.push_back(e.hash);
   return v;
 }
 
 std::size_t MonotonicNetwork::bytes() const {
   std::size_t b = entries_.size() * (sizeof(Entry) + sizeof(Hash64) + 2 * sizeof(std::size_t));
-  for (std::uint64_t i = 0; i < entries_.size(); ++i) b += entries_[i].msg.payload.capacity();
+  for (const Entry& e : entries_) b += e.msg.payload.capacity();
   return b;
 }
 

@@ -8,16 +8,16 @@
 //
 // Two §4.2 implementation details live here:
 //  * duplicate suppression by content hash (duplicate-message limit = 0),
-//    through a hash → entry index that only the applier touches;
+//    through a hash → entry index;
 //  * a per-message cursor recording how many states of the destination node
 //    the message has already been executed on, so each round only touches
 //    newly added states.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <vector>
 
-#include "mc/concurrent/segmented_log.hpp"
 #include "runtime/hash.hpp"
 #include "runtime/hash_index.hpp"
 #include "runtime/message.hpp"
@@ -42,21 +42,13 @@ class MonotonicNetwork {
   static MonotonicNetwork restore(std::vector<Entry> entries, std::uint64_t suppressed);
 
   /// Copy of all entries in insertion order (checkpointing, tests).
-  std::vector<Entry> snapshot_entries() const {
-    std::vector<Entry> out;
-    out.reserve(entries_.size());
-    for (std::uint64_t i = 0; i < entries_.size(); ++i) out.push_back(entries_[i]);
-    return out;
-  }
+  std::vector<Entry> snapshot_entries() const { return {entries_.begin(), entries_.end()}; }
 
   std::size_t size() const { return entries_.size(); }
-  /// Mutable access is applier-only (cursor updates); const access below
-  /// size() is safe from any thread concurrently with appends (the entries
-  /// live in an append-only segmented log with stable addresses).
-  Entry& at(std::size_t i) { return entries_.mut(i); }
+  /// Entries never move: a reference stays valid across later add()s.
+  Entry& at(std::size_t i) { return entries_[i]; }
   const Entry& at(std::size_t i) const { return entries_[i]; }
 
-  /// Lookups by hash are applier-only, like add().
   bool contains(Hash64 h) const { return index_.contains(h); }
   const Message* find(Hash64 h) const;
 
@@ -70,7 +62,7 @@ class MonotonicNetwork {
   std::size_t bytes() const;
 
  private:
-  concurrent::SegLog<Entry> entries_;
+  std::deque<Entry> entries_;
   HashIndex index_;  // hash -> entry position
   std::uint64_t suppressed_ = 0;
 };

@@ -3,7 +3,6 @@
 //   lmc_report [--json] [--case LABEL] FILE...     analyze trace JSONL
 //   lmc_report --validate FILE...                  schema-check obs JSONL
 //   lmc_report --profile [--top K] FILE...         rank lmc-prof/2 rule costs
-//   lmc_report --baseline BASE.json [--baseline ...] [--fail-over PCT] FILE...
 //
 // Analysis mode ingests every "lmc-trace/1" line from the given files (in
 // order; other obs lines are skipped so mixed files work), prints the
@@ -19,12 +18,6 @@
 // ledger's byte totals and the top-K hottest rules (by handler wall seconds,
 // as a share of the derived explore wall, with per-transition
 // serialize/hash byte costs).
-//
-// Baseline mode diffs the "lmc-bench/1" records in FILE... against the
-// frozen records in the --baseline file(s) (bench/baselines/BENCH_*.json),
-// keyed by bench|case|params. Counter metrics are reported informationally;
-// with --fail-over PCT any wall-clock metric (*_s) more than PCT% above its
-// baseline makes the exit status 1.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -33,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/baseline.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/prof.hpp"
 #include "obs/report.hpp"
@@ -44,8 +36,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: lmc_report [--json] [--case LABEL] FILE...\n"
                "       lmc_report --validate FILE...\n"
-               "       lmc_report --profile [--top K] FILE...\n"
-               "       lmc_report --baseline BASE.json [--fail-over PCT] FILE...\n");
+               "       lmc_report --profile [--top K] FILE...\n");
   return 2;
 }
 
@@ -107,37 +98,12 @@ int run_profile(const std::vector<std::string>& files, std::size_t top_k) {
   return 0;
 }
 
-int run_baseline(const std::vector<std::string>& baselines, const std::vector<std::string>& files,
-                 double fail_over_pct) {
-  auto load = [](const std::vector<std::string>& paths, const char* what,
-                 std::map<std::string, std::map<std::string, double>>& out) {
-    std::vector<std::string> lines;
-    for (const std::string& p : paths)
-      if (!read_lines(p, lines)) {
-        std::fprintf(stderr, "lmc_report: cannot open %s file %s\n", what, p.c_str());
-        return false;
-      }
-    out = lmc::obs::parse_bench_records(lines);
-    return true;
-  };
-  std::map<std::string, std::map<std::string, double>> base, cur;
-  if (!load(baselines, "baseline", base) || !load(files, "input", cur)) return 2;
-  if (base.empty()) {
-    std::fprintf(stderr, "lmc_report: no lmc-bench/1 records in the baseline file(s)\n");
-    return 2;
-  }
-  const lmc::obs::BaselineComparison cmp = lmc::obs::compare_benches(base, cur);
-  const std::size_t regressions = lmc::obs::print_baseline_report(cmp, fail_over_pct, stdout);
-  return regressions > 0 ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool validate = false, json = false, profile = false;
   std::string case_label = "trace";
-  std::vector<std::string> files, baselines;
-  double fail_over_pct = -1.0;
+  std::vector<std::string> files;
   std::size_t top_k = 20;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -151,10 +117,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (arg == "--case" && i + 1 < argc) {
       case_label = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baselines.push_back(argv[++i]);
-    } else if (arg == "--fail-over" && i + 1 < argc) {
-      fail_over_pct = std::strtod(argv[++i], nullptr);
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else {
@@ -164,7 +126,6 @@ int main(int argc, char** argv) {
   if (files.empty()) return usage();
   if (validate) return run_validate(files);
   if (profile) return run_profile(files, top_k);
-  if (!baselines.empty()) return run_baseline(baselines, files, fail_over_pct);
 
   try {
     std::vector<lmc::obs::TraceEvent> events;

@@ -62,7 +62,7 @@ enum class EventType : std::uint8_t {
   kCheckpointSave = 13,  ///< a=ok, b=checkpoints_written so far; dur=save wall s
   // 14 is retired (snapshot-merge warm start); ids are never reused.
   kOnlinePeriod = 15,    ///< a=period idx, b=transitions, c=found; dur=checker wall s
-  kWorkerError = 16,     ///< a=secondary worker exceptions dropped, b=source (0 pipeline, 1 pool)
+  kWorkerError = 16,     ///< a=secondary worker exceptions dropped, b=source (0 phase-1 chunk, 1 sweep/soundness fan-out)
   kPorPrune = 17,        ///< a=deliveries pruned this round, b=cumulative pruned, c=conservative skips
   kPorResolve = 18,      ///< a=independence-relation pairs, b=relation digest, c=unclassifiable pairs
 };

@@ -424,8 +424,18 @@ void dec_pending(Reader& r, CheckerImage& img) {
     t.state_idx = r.u32();
     check(t.node < img.num_nodes, "pending task node out of range");
     check(t.state_idx < img.store.size(t.node), "pending task state out of range");
-    check(!t.is_message || t.net_idx < img.net_entries.size(),
-          "pending task message index out of range");
+    // Cursors advance when a task is published, so every valid pending task
+    // lies below its cursor: a message task below its I+ entry's, on the
+    // message's destination; an internal task below its node's.
+    if (t.is_message) {
+      check(t.net_idx < img.net_entries.size(), "pending task message index out of range");
+      const MonotonicNetwork::Entry& e = img.net_entries[t.net_idx];
+      check(t.node == e.msg.dst, "pending message task not on its message's destination");
+      check(t.state_idx < e.next_state, "pending message task beyond its network cursor");
+    } else {
+      check(t.state_idx < img.internal_scan[t.node],
+            "pending internal task beyond its internal cursor");
+    }
     img.pending.push_back(t);
   }
   r.expect_exhausted();
@@ -482,6 +492,9 @@ void dec_por(Reader& r, CheckerImage& img) {
     check(t.node < img.num_nodes, "por deferred node out of range");
     check(t.net_idx < img.net_entries.size(), "por deferred message out of range");
     check(t.state_idx < img.store.size(t.node), "por deferred state out of range");
+    const MonotonicNetwork::Entry& e = img.net_entries[t.net_idx];
+    check(t.node == e.msg.dst, "por deferred task not on its message's destination");
+    check(t.state_idx < e.next_state, "por deferred task beyond its network cursor");
     img.por_deferred.push_back(t);
   }
   r.expect_exhausted();

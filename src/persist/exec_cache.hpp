@@ -20,10 +20,12 @@
 // per snapshot on the §5.5 workload, and was removed. The cache keeps each
 // period's search space exactly the cold one and removes only true re-work.
 //
-// The map is sharded 16 ways by key hash so the work-stealing phase-1
-// workers can `peek()` concurrently with the applier's authoritative
-// `lookup()`/`insert()` without a single hot mutex (DESIGN.md §12). The
-// cache keeps no hit/miss counters: the checker's stats already count every
+// The map is sharded 16 ways by key hash so the phase-1 pool lanes of a
+// chunk can `peek()` concurrently without a single hot mutex (DESIGN.md
+// §12). Peeks do not overlap the applier's authoritative `lookup()` and
+// `insert()`, which run after the chunk's fan-out; the shard locks stay, so
+// every method remains safe to call from any thread. The cache keeps no
+// hit/miss counters: the checker's stats already count every
 // replay (warm_pairs_skipped) and every execution (transitions).
 //
 // The cache serializes with the same discipline as checkpoints (magic,
@@ -57,10 +59,11 @@ class ExecCache {
   /// The applier's authoritative path.
   bool lookup(Hash64 ev, Hash64 state, ExecResult& out) const;
 
-  /// Presence check without result extraction: the speculative
-  /// worker-side probe. A true return may go stale by the time
-  /// the applier consumes (generation rotation) — the applier re-executes
-  /// in that case; a false return is always safe (the worker executed).
+  /// Presence check without result extraction: the speculative probe of
+  /// the pool lane that executes a task. A true return may go stale by the
+  /// time the applier applies the task (generation rotation) — the applier
+  /// re-executes in that case; a false return is always safe (the lane
+  /// executed).
   bool peek(Hash64 ev, Hash64 state) const;
 
   void insert(Hash64 ev, Hash64 state, const ExecResult& r);

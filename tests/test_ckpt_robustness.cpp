@@ -13,6 +13,7 @@
 #include "dfuzz/protogen.hpp"
 #include "mc/local_mc.hpp"
 #include "persist/checkpoint.hpp"
+#include "protocols/paxos.hpp"
 #include "runtime/hash.hpp"
 
 namespace lmc {
@@ -169,6 +170,91 @@ TEST(CkptRobustness, DuplicateStatesAndMessagesRejected) {
   ASSERT_FALSE(net_img.net_entries.empty());
   net_img.net_entries.push_back(net_img.net_entries[0]);
   expect_duplicate_rejected(net_img, "a repeated I+ message");
+}
+
+/// Re-encode `img` (a valid checksum) and expect the decoder to reject it
+/// with an error that contains `needle`.
+void expect_decode_rejects(const CheckerImage& img, const char* what, const char* needle) {
+  try {
+    decode_checkpoint(encode_checkpoint(img));
+    FAIL() << what << " must be rejected";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+/// The image of a generated-protocol run capped after 5 transitions, so its
+/// pending section holds the stopped generation's unapplied tail
+/// (sample_checkpoint() completes and has none).
+CheckerImage capped_image(std::uint64_t seed) {
+  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+  LocalMcOptions opt;
+  opt.stop_on_confirmed = false;
+  opt.max_transitions = 5;
+  LocalModelChecker mc(p.cfg, p.invariant.get(), opt);
+  mc.run_from_initial();
+  return decode_checkpoint(mc.checkpoint_bytes());
+}
+
+TEST(CkptRobustness, PendingTasksMustSitBelowTheirCursors) {
+  // Cursors advance when a task is published, so a pending message task
+  // sits on its message's destination below the I+ entry's cursor, and a
+  // pending internal task below its node's cursor. A re-encoded image that
+  // breaks this has a valid checksum, so only these checks keep a resume
+  // from delivering one node's message to another.
+  std::size_t message_tasks = 0, internal_tasks = 0;
+  for (std::uint64_t seed : {7, 8, 12}) {
+    const CheckerImage img = capped_image(seed);
+    ASSERT_FALSE(img.pending.empty()) << "seed " << seed;
+    ASSERT_GT(img.num_nodes, 1u);
+    for (std::size_t k = 0; k < img.pending.size(); ++k) {
+      const PendingTask t = img.pending[k];
+      CheckerImage bad = img;
+      if (t.is_message) {
+        ++message_tasks;
+        bad.pending[k].node = (t.node + 1) % img.num_nodes;
+        bad.pending[k].state_idx = 0;
+        expect_decode_rejects(bad, "a message task on another node", "pending");
+        bad = img;
+        bad.net_entries[t.net_idx].next_state = t.state_idx;
+        expect_decode_rejects(bad, "a message task at its network cursor", "pending");
+      } else {
+        ++internal_tasks;
+        bad.internal_scan[t.node] = t.state_idx;
+        expect_decode_rejects(bad, "an internal task at its cursor", "pending");
+      }
+    }
+  }
+  EXPECT_GT(message_tasks, 0u);
+  EXPECT_GT(internal_tasks, 0u);
+}
+
+TEST(CkptRobustness, PorDeferredTasksMustSitBelowTheirCursors) {
+  // The same rule for the message pairs POR deferred one generation
+  // (section 14): their I+ entry's cursor passed them when they were
+  // deferred. Capped runs of one-proposal Paxos leave such pairs in flight.
+  SystemConfig cfg = paxos::make_config(3, paxos::CoreOptions{}, paxos::DriverConfig{{0}, 1});
+  LocalMcOptions opt;
+  opt.stop_on_confirmed = false;
+  opt.enable_system_states = false;
+  opt.por.mode = indep::PorMode::kOn;
+  CheckerImage img;
+  for (std::uint64_t cut = 2; img.por_deferred.empty(); cut += 3) {
+    opt.max_transitions = cut;
+    LocalModelChecker mc(cfg, nullptr, opt);
+    mc.run_from_initial();
+    ASSERT_FALSE(mc.stats().completed) << "no cap left a deferred pair in flight";
+    img = decode_checkpoint(mc.checkpoint_bytes());
+  }
+  const PendingTask t = img.por_deferred[0];
+  CheckerImage bad = img;
+  bad.por_deferred[0].node = (t.node + 1) % img.num_nodes;
+  bad.por_deferred[0].state_idx = 0;
+  expect_decode_rejects(bad, "a deferred pair on another node", "por deferred");
+  bad = img;
+  bad.pending.clear();  // so only the deferred pair meets the lowered cursor
+  bad.net_entries[t.net_idx].next_state = t.state_idx;
+  expect_decode_rejects(bad, "a deferred pair at its network cursor", "por deferred");
 }
 
 using StatPairs = std::vector<std::pair<std::string, std::uint64_t>>;

@@ -63,9 +63,9 @@ TEST(FuzzCorpus, AllSeedsConclusiveAndAgreeing) {
 }
 
 /// Thread-count determinism over the ENTIRE frozen corpus: the same
-// generated protocol explored with 1 and 8 threads — which now covers the
-// work-stealing phase-1 pipeline as well as the phase-2 sweep/soundness
-// pools — must leave the checker in a byte-identical state: stores, I+,
+// generated protocol explored with 1 and 8 threads — which covers the
+// phase-1 handler chunks as well as the sweep and soundness fan-outs on
+// the one worker pool — must leave the checker in a byte-identical state: stores, I+,
 // violations, witnesses and counters, once wall-clock stats are zeroed.
 TEST(FuzzCorpus, ThreadCountByteIdentical) {
   std::uint64_t total_confirmed = 0;

@@ -1,11 +1,13 @@
 // Hashing: stability, sensitivity and combiner properties. State identity
 // is hash equality, so these invariants underpin every checker structure.
+// Also the HashIndex behind LS_n, I+ and the orbit seen-set.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <unordered_set>
 
 #include "runtime/hash.hpp"
+#include "runtime/hash_index.hpp"
 #include "runtime/message.hpp"
 
 namespace lmc {
@@ -98,6 +100,43 @@ TEST(Hash, InternalEventDistinctFromMessage) {
   m.payload = {1, 2};
   InternalEvent e{7, {1, 2}};
   EXPECT_NE(m.hash(), e.hash(0));
+}
+
+// HashIndex (the suite keeps the name of the concurrent table it replaced)
+
+TEST(ConcurrentHashIndex, InsertFindEraseBasics) {
+  HashIndex idx;
+  EXPECT_EQ(idx.find(42), HashIndex::kNotFound);
+  EXPECT_FALSE(idx.contains(42));
+  EXPECT_EQ(idx.insert_if_absent(42, 7), 7u);
+  EXPECT_EQ(idx.insert_if_absent(42, 99), 7u) << "duplicate insert returns the existing value";
+  EXPECT_EQ(idx.find(42), 7u);
+  EXPECT_TRUE(idx.contains(42));
+  EXPECT_EQ(idx.size(), 1u);
+
+  // Key 0 is an ordinary key (emptiness is marked by the value).
+  EXPECT_EQ(idx.find(0), HashIndex::kNotFound);
+  EXPECT_EQ(idx.insert_if_absent(0, 3), 3u);
+  EXPECT_EQ(idx.find(0), 3u);
+  EXPECT_EQ(idx.size(), 2u);
+}
+
+TEST(ConcurrentHashIndex, GrowthChainsTablesWithoutLosingKeys) {
+  // Push far past the first table, through many rehashes: every key keeps
+  // its value, including keys that all share one home slot.
+  HashIndex idx;
+  constexpr std::uint32_t kKeys = 20000;
+  constexpr std::uint32_t kColliding = 1000;
+  for (std::uint32_t i = 0; i < kKeys; ++i)
+    ASSERT_EQ(idx.insert_if_absent(0x9e3779b97f4a7c15ull * (i + 1), i), i);
+  for (std::uint32_t i = 0; i < kColliding; ++i)
+    ASSERT_EQ(idx.insert_if_absent(std::uint64_t{i + 1} << 32, kKeys + i), kKeys + i);
+  EXPECT_EQ(idx.size(), kKeys + kColliding);
+  for (std::uint32_t i = 0; i < kKeys; ++i)
+    ASSERT_EQ(idx.find(0x9e3779b97f4a7c15ull * (i + 1)), i) << "key " << i;
+  for (std::uint32_t i = 0; i < kColliding; ++i)
+    ASSERT_EQ(idx.find(std::uint64_t{i + 1} << 32), kKeys + i) << "colliding key " << i;
+  EXPECT_EQ(idx.find(0x9e3779b97f4a7c15ull * (kKeys + 1)), HashIndex::kNotFound);
 }
 
 }  // namespace

@@ -4,9 +4,8 @@
 // round-trips, schema validation, the LMC_TRACE / LMC_PROF cost contracts,
 // the profiling identity contract (1-vs-8-thread byte identity, checkpoint
 // non-perturbation), profile phase rows equal to the summed run stats, the
-// Chrome trace_event export, baseline missing-case reporting, and the
-// checkpoint stats fields (deferred_dropped counter, soundness_wall_s) and
-// version window.
+// Chrome trace_event export, and the checkpoint stats fields
+// (deferred_dropped counter, soundness_wall_s) and version window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
 #include "mc/local_mc.hpp"
-#include "obs/baseline.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/chrome.hpp"
 #include "obs/prof.hpp"
@@ -159,7 +157,7 @@ TEST(ObsTrace, WorkerErrorRoundTripAndReportAggregation) {
   ev.phase = obs::Phase::kExplore;
   ev.round = 3;
   ev.a = 2;  // secondary exceptions dropped
-  ev.b = 0;  // source: phase-1 pipeline
+  ev.b = 0;  // source: a phase-1 handler chunk
   const std::string line = obs::to_jsonl_line(ev);
   std::string err;
   EXPECT_TRUE(obs::validate_obs_line(line, &err)) << err;
@@ -562,28 +560,6 @@ TEST(ObsChrome, ExportValidatesAndBadDocsRejected) {
       "{\"traceEvents\":[{\"name\":\"x\"}]}", &err));                     // entry missing ph/pid
   EXPECT_FALSE(obs::validate_chrome_trace(
       "{\"traceEvents\":[{\"ph\":\"X\",\"pid\":1}]}", &err));             // non-meta missing ts
-}
-
-// --- baseline: missing cases are visible but never gate ----------------------
-
-TEST(ObsBaseline, MissingCasesReportedNotGating) {
-  std::map<std::string, std::map<std::string, double>> base, cur;
-  base["bench_a|case1|"] = {{"elapsed_s", 1.0}, {"transitions", 100.0}};
-  base["bench_a|case2|"] = {{"elapsed_s", 2.0}};  // whole case absent from current
-  cur["bench_a|case1|"] = {{"elapsed_s", 1.01}, {"transitions", 100.0}};
-
-  const obs::BaselineComparison cmp = obs::compare_benches(base, cur);
-  ASSERT_EQ(cmp.missing_cases.size(), 1u);
-  EXPECT_EQ(cmp.missing_cases[0], "bench_a|case2|");
-  EXPECT_EQ(cmp.rows.size(), 2u);  // case1's two metrics; case2 contributes no rows
-  EXPECT_TRUE(cmp.only_baseline.empty());
-
-  // A tight gate over the compared rows: the +1% time delta passes at 5%,
-  // and the missing case never counts as a regression.
-  EXPECT_EQ(obs::print_baseline_report(cmp, /*fail_over_pct=*/5.0, stdout), 0u);
-  // Sanity: the same gate at 0.5% flags the time metric — compared rows
-  // still gate exactly as before.
-  EXPECT_EQ(obs::print_baseline_report(cmp, /*fail_over_pct=*/0.5, stdout), 1u);
 }
 
 TEST(ObsCheckpoint, VersionsOutsideTheWindowAreRejected) {

@@ -1,14 +1,16 @@
-// The parallel phase-2 machinery: the persistent WorkerPool (exception
+// The parallel machinery: the persistent WorkerPool (exception
 // propagation, reuse), thread-count determinism of full checker runs on the
-// GEN and OPT paths, the resumed-past-budget guard, checkpoint-write
-// failures, and the I+ registration of messages sent by handlers whose
-// local assert fails (addNextState order, Fig. 9).
+// GEN and OPT paths, phase-1 handler errors in publication order, the
+// resumed-past-budget guard, checkpoint-write failures, and the I+
+// registration of messages sent by handlers whose local assert fails
+// (addNextState order, Fig. 9).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -517,9 +519,10 @@ TEST(AssertSends, DiscardStateKeepsSentMessagesInIplus) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase-1 pipeline exception accounting: two handlers rendezvous and then
-// both throw. The checker rethrows the first (in consume order) and counts
-// the other in worker_exceptions_dropped() instead of losing it.
+// Phase-1 exception accounting: two handlers rendezvous on two pool lanes
+// and then both throw. The checker rethrows the first (in publication
+// order) and counts the other in worker_exceptions_dropped() instead of
+// losing it.
 
 std::atomic<int> g_throw_barrier{0};
 
@@ -565,6 +568,59 @@ TEST(ParallelDeterminism, PipelineCountsSecondaryHandlerExceptions) {
   EXPECT_THROW(mc.run_from_initial(), std::runtime_error);
   EXPECT_EQ(mc.worker_exceptions_dropped(), 1u)
       << "the second handler's exception must be counted, not lost";
+}
+
+// Node 0's first internal event succeeds; nodes 1 and 2 throw an error
+// that names the node.
+class FailAfterNodeZero final : public StateMachine {
+ public:
+  explicit FailAfterNodeZero(NodeId self) : self_(self) {}
+  void handle_message(const Message&, Context&) override {}
+  std::vector<InternalEvent> enabled_internal_events() const override {
+    if (!fired_) return {InternalEvent{kEvFire, {}}};
+    return {};
+  }
+  void handle_internal(const InternalEvent&, Context&) override {
+    if (self_ != 0) throw std::runtime_error("handler failed on node " + std::to_string(self_));
+    fired_ = true;
+  }
+  void serialize(Writer& w) const override {
+    w.u32(self_);
+    w.u32(fired_ ? 1 : 0);
+  }
+  void deserialize(Reader& r) override {
+    self_ = r.u32();
+    fired_ = r.u32() != 0;
+  }
+
+ private:
+  NodeId self_ = 0;
+  bool fired_ = false;
+};
+
+TEST(ParallelDeterminism, HandlerErrorsSurfaceInPublicationOrder) {
+  // The three first-generation tasks are published node by node. Node 0's
+  // result is applied before node 1's error is rethrown, at any thread
+  // count. At 4 threads node 2's handler ran in the same chunk, so its
+  // error is counted instead of lost.
+  SystemConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.factory = [](NodeId self, std::uint32_t) {
+    return std::make_unique<FailAfterNodeZero>(self);
+  };
+  for (unsigned threads : {1u, 4u}) {
+    LocalMcOptions opt;
+    opt.num_threads = threads;
+    LocalModelChecker mc(cfg, nullptr, opt);
+    try {
+      mc.run_from_initial();
+      ADD_FAILURE() << "the handler error must propagate at " << threads << " thread(s)";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "handler failed on node 1") << threads << " thread(s)";
+    }
+    EXPECT_EQ(mc.stats().transitions, 1u) << threads << " thread(s)";
+    EXPECT_EQ(mc.worker_exceptions_dropped(), threads == 1 ? 0u : 1u) << threads << " thread(s)";
+  }
 }
 
 TEST(AssertSends, IgnoreViolationConfirmsTheSameViolation) {

@@ -12,6 +12,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "dfuzz/oracle.hpp"
 #include "mc/local_mc.hpp"
 #include "mc/replay.hpp"
 #include "obs/report.hpp"
@@ -287,7 +288,10 @@ TEST(Persist, AutoCheckpointWritesDuringRun) {
 
 // The core property: interrupt at roughly half the transition budget,
 // checkpoint, resume in a FRESH checker — the final exploration must be
-// exactly the uninterrupted one.
+// exactly the uninterrupted one. The interrupted half runs at 1 and at 4
+// threads: at 4 the pool has already executed part of the stopped
+// generation's tail, which must still become `pending`, in order, so both
+// runs write the same normalized checkpoint.
 TEST(Persist, InterruptedResumeEqualsUninterruptedCounter) {
   SystemConfig cfg = counter_cfg(3, 3);
   PingLimitInvariant inv(6);
@@ -298,27 +302,36 @@ TEST(Persist, InterruptedResumeEqualsUninterruptedCounter) {
   ASSERT_TRUE(a.stats().completed);
   ASSERT_GT(a.stats().transitions, 4u);
 
-  LocalMcOptions half = full;
-  half.max_transitions = a.stats().transitions / 2;
-  LocalModelChecker b(cfg, &inv, half);
-  b.run_from_initial();
-  ASSERT_FALSE(b.stats().completed);
-  ASSERT_LT(b.stats().transitions, a.stats().transitions);
+  std::vector<Blob> normalized;
+  for (unsigned threads : {1u, 4u}) {
+    LocalMcOptions half = full;
+    half.max_transitions = a.stats().transitions / 2;
+    half.num_threads = threads;
+    LocalModelChecker b(cfg, &inv, half);
+    b.run_from_initial();
+    ASSERT_FALSE(b.stats().completed);
+    ASSERT_LT(b.stats().transitions, a.stats().transitions);
+    normalized.push_back(dfuzz::normalized_checkpoint_bytes(b.checkpoint_bytes()));
+    ASSERT_FALSE(decode_checkpoint(normalized.back()).pending.empty())
+        << "the stop must leave an unapplied tail";
 
-  const std::string path = temp_path("ckpt_resume_counter.lmcckpt");
-  b.save_checkpoint(path);
+    const std::string path =
+        temp_path("ckpt_resume_counter_t" + std::to_string(threads) + ".lmcckpt");
+    b.save_checkpoint(path);
 
-  LocalModelChecker c(cfg, &inv, full);
-  c.run_resumed(path);
-  EXPECT_TRUE(c.stats().completed);
-  expect_equal(fingerprint(a, cfg.num_nodes), fingerprint(c, cfg.num_nodes));
-  // Witnesses survive the round trip: still replayable from the snapshot.
-  ASSERT_FALSE(c.violations().empty());
-  const LocalViolation* v = c.first_confirmed();
-  ASSERT_NE(v, nullptr);
-  ReplayResult rep = replay_schedule(cfg, c.initial_nodes(), c.initial_in_flight(), v->witness,
-                                     c.events(), v->state_hashes);
-  EXPECT_TRUE(rep.ok) << rep.error;
+    LocalModelChecker c(cfg, &inv, full);
+    c.run_resumed(path);
+    EXPECT_TRUE(c.stats().completed);
+    expect_equal(fingerprint(a, cfg.num_nodes), fingerprint(c, cfg.num_nodes));
+    // Witnesses survive the round trip: still replayable from the snapshot.
+    ASSERT_FALSE(c.violations().empty());
+    const LocalViolation* v = c.first_confirmed();
+    ASSERT_NE(v, nullptr);
+    ReplayResult rep = replay_schedule(cfg, c.initial_nodes(), c.initial_in_flight(),
+                                       v->witness, c.events(), v->state_hashes);
+    EXPECT_TRUE(rep.ok) << rep.error;
+  }
+  EXPECT_EQ(normalized[0], normalized[1]) << "the pending tail depends on the thread count";
 }
 
 // Same property on the paper's §5.5 workload: the buggy-Paxos WiDS hunt,

@@ -93,9 +93,9 @@ TEST(Zoo, BaseConfigsPassDiffOracleAndMatchExpectations) {
 }
 
 TEST(Zoo, ThreadCountByteIdenticalAcrossTheZoo) {
-  // Work-stealing phase 1 (DESIGN.md §12): every zoo spec explored with 1
-  // and 8 threads must leave the checker byte-identical once wall-clock
-  // stats (and the resume segment stamp) are normalized away.
+  // Phase 1 on the worker pool (DESIGN.md §12): every zoo spec explored
+  // with 1 and 8 threads must leave the checker byte-identical once
+  // wall-clock stats (and the resume segment stamp) are normalized away.
   for (const std::string& file : zoo_files()) {
     SCOPED_TRACE(file);
     LoadResult r = load_file(file);
