@@ -2,51 +2,56 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
-#include "dsl/bridge.hpp"
 #include "dsl/spec.hpp"
-#include "runtime/serialize.hpp"
 
 namespace lmc::dfuzz {
 
-namespace {
-
-void write_file(const std::string& path, const void* p, std::size_t n) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) throw std::runtime_error("cannot write " + path);
-  std::fwrite(p, 1, n, f);
-  std::fclose(f);
-}
-
-}  // namespace
-
-ArtifactPaths write_repro_artifacts(const std::string& dir, std::uint64_t seed,
-                                    const ShrinkResult& shrunk, const ProtoSpec& original) {
+std::string write_repro_artifact(const std::string& dir, std::uint64_t seed,
+                                 const ShrinkResult& shrunk, const OracleOptions& opt,
+                                 const GenLimits& lim, bool symmetric_specs) {
   std::filesystem::create_directories(dir);
-  const std::string base = dir + "/dfuzz_repro_seed" + std::to_string(seed);
-  ArtifactPaths paths{base + ".bin", base + ".txt", base + ".lmc"};
+  const std::string path = dir + "/dfuzz_repro_seed" + std::to_string(seed) + ".lmc";
 
-  Writer w;
-  shrunk.spec.serialize(w);
-  write_file(paths.bin, w.data().data(), w.data().size());
+  std::string regenerate = "lmc_fuzz --seed " + std::to_string(seed) + " --runs 1";
+  if (lim.max_nodes != GenLimits{}.max_nodes)
+    regenerate += " --max-nodes " + std::to_string(lim.max_nodes);
+  if (symmetric_specs) regenerate += " --symmetric-specs";
 
-  std::string txt = "lmc_fuzz disagreement\nseed: " + std::to_string(seed) +
-                    "\nfailure: " + to_string(shrunk.report.failure) +
-                    "\ndetail: " + shrunk.report.detail + "\nshrink: removed " +
-                    std::to_string(shrunk.removed) + " piece(s) in " +
-                    std::to_string(shrunk.attempts) + " oracle run(s)\n\nminimal protocol:\n" +
-                    to_string(shrunk.spec) + "\noriginal protocol:\n" + to_string(original);
-  write_file(paths.txt, txt.data(), txt.size());
+  char budget[32];
+  std::snprintf(budget, sizeof budget, "%g", opt.lmc_time_budget_s);
+  std::string replay = "lmc_run " + path + " --oracle --no-scenarios --time-budget " + budget +
+                       " --threads " + std::to_string(opt.num_threads);
+  if (opt.check_symmetry) replay += " --symmetry";
+  if (opt.check_por) replay += " --por";
+  if (opt.audit_every != 0) replay += " --audit-every " + std::to_string(opt.audit_every);
+  if (opt.audit_validity) replay += " --audit-validity";
 
-  dsl::DslSpec lifted = dsl::from_proto(shrunk.spec);
-  // Record what the oracle run actually observed, so `lmc_run FILE.lmc`
-  // exits 0 when the repro behaves as captured (a confirmed violation is
-  // the expected outcome for most shrunk disagreements, not a failure).
-  lifted.expect_violation = shrunk.report.lmc_confirmed > 0;
-  const std::string lmc = dsl::to_lmc_text(lifted);
-  write_file(paths.lmc, lmc.data(), lmc.size());
-  return paths;
+  std::string detail = shrunk.report.detail;
+  for (char& c : detail)
+    if (c == '\n') c = ' ';  // one comment line
+
+  dsl::DslSpec spec = shrunk.spec;
+  // Record what the oracle run actually observed, so the replay exits 0
+  // when the repro behaves as captured (a confirmed violation is the
+  // expected outcome for most shrunk disagreements, not a failure).
+  spec.expect_violation = shrunk.report.lmc_confirmed > 0;
+
+  std::ofstream out(path, std::ios::binary);
+  out << "# lmc_fuzz disagreement\n"
+      << "# seed: " << seed << "\n"
+      << "# failure: " << to_string(shrunk.report.failure) << "\n"
+      << "# detail: " << detail << "\n"
+      << "# shrink: removed " << shrunk.removed << " piece(s) in " << shrunk.attempts
+      << " oracle run(s)\n"
+      << "# regenerate (unshrunk): " << regenerate << "\n"
+      << "# replay: " << replay << "\n"
+      << dsl::to_lmc_text(spec);
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
+  return path;
 }
 
 }  // namespace lmc::dfuzz

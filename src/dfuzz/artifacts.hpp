@@ -1,30 +1,25 @@
 // Repro artifact writer, shared by lmc_fuzz and the tests: a shrunk oracle
-// disagreement lands as <dir>/dfuzz_repro_seed<seed>.{bin,txt,lmc}. The
-// .bin re-runs via `lmc_fuzz --repro`, the .txt is the human-readable rule
-// table + shrink provenance, and the .lmc is the same minimal protocol as
-// loadable DSL text (`lmc_run FILE.lmc --oracle` reproduces the check).
-//
-// Declared here but compiled into lmc_dsl: the .lmc emission needs the
-// dfuzz<->dsl bridge, and lmc_dfuzz must stay below lmc_dsl in the layering.
+// disagreement lands as <dir>/dfuzz_repro_seed<seed>.lmc — the minimal
+// protocol as loadable DSL text. Its `#` header records the seed, the
+// failure class and detail, the shrink counts, the `lmc_fuzz` command that
+// regenerates the unshrunk spec, and the exact `lmc_run ... --oracle`
+// command that replays the check with the sweep's oracle options.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
 #include "dfuzz/shrink.hpp"
 
 namespace lmc::dfuzz {
 
-struct ArtifactPaths {
-  std::string bin;
-  std::string txt;
-  std::string lmc;
-};
-
-/// Write the three artifact files under `dir` (created, with parents, if it
-/// does not exist). Throws std::runtime_error on I/O failure.
-ArtifactPaths write_repro_artifacts(const std::string& dir, std::uint64_t seed,
-                                    const ShrinkResult& shrunk, const ProtoSpec& original);
+/// Write the artifact under `dir` (created, with parents, if it does not
+/// exist) and return its path. `opt`, `lim` and `symmetric_specs` are what
+/// the sweep ran with. Throws std::runtime_error on I/O failure.
+std::string write_repro_artifact(const std::string& dir, std::uint64_t seed,
+                                 const ShrinkResult& shrunk, const OracleOptions& opt,
+                                 const GenLimits& lim, bool symmetric_specs);
 
 }  // namespace lmc::dfuzz

@@ -2,8 +2,8 @@
 //
 //   lmc_fuzz [--seed S] [--runs N] [--max-nodes K] [--threads T]
 //            [--lmc-threads L] [--time-budget SEC] [--audit-every K]
-//            [--symmetry] [--symmetric-specs] [--por] [--out-dir DIR] [--verbose]
-//   lmc_fuzz --repro FILE           re-run the oracle on a dumped spec
+//            [--audit-validity] [--symmetry] [--symmetric-specs] [--por]
+//            [--out-dir DIR] [--trace-dir DIR] [--profile-dir DIR] [--verbose]
 //
 // --symmetry adds a per-seed reduced-vs-unreduced differential: LMC re-runs
 // with SymmetryMode::kAuto and the confirmed-violation sets must agree up to
@@ -15,19 +15,21 @@
 // confirmed sets must be exactly equal, with a 1-vs-8-thread checkpoint
 // byte-identity check on top.
 //
-// Seeds S..S+N-1 each generate one random protocol and push it through the
+// Seeds S..S+N-1 each generate one random protocol as a DSL spec, run it
+// through the .lmc interpreter (dsl::instantiate) and push it through the
 // DiffOracle (global baseline vs LMC, witness replay, resume round-trip,
 // OPT path). --threads fans the seeds out over a WorkerPool; results are
 // merged in seed order, and each in-oracle LMC runs with --lmc-threads
-// under PR 2's deterministic merge protocol — so the run's output is
+// under the deterministic merge protocol — so the run's output is
 // byte-identical for any --threads/--lmc-threads combination.
 //
 // A disagreement is greedily shrunk while the same divergence class
-// persists, and the minimal protocol is dumped as
-//   <out-dir>/dfuzz_repro_seed<seed>.{bin,txt,lmc}
-// (.bin re-runs via --repro; .txt is the human-readable rule table; .lmc is
-// the same protocol as loadable DSL text for `lmc_run`). --out-dir is
-// created if missing and defaults to "."; --artifact-dir is a legacy alias.
+// persists, and the minimal protocol is written as
+//   <out-dir>/dfuzz_repro_seed<seed>.lmc
+// whose `#` header names the failure, the command that regenerates the
+// unshrunk spec, and the `lmc_run FILE --oracle ...` command that replays
+// it with the sweep's oracle options. --out-dir is created if missing and
+// defaults to ".".
 // Exit status: 0 = no disagreement, 1 = disagreement(s), 2 = usage.
 #include <cinttypes>
 #include <cstdio>
@@ -39,6 +41,7 @@
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
 #include "dfuzz/shrink.hpp"
+#include "dsl/interp.hpp"
 #include "mc/parallel_local_mc.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/prof.hpp"
@@ -61,8 +64,7 @@ struct Args {
   bool check_symmetry = false;   ///< per-seed reduced-vs-unreduced differential
   bool check_por = false;        ///< per-seed POR-reduced-vs-unreduced differential
   bool symmetric_specs = false;  ///< generate via generate_symmetric_spec
-  std::string artifact_dir = ".";
-  std::string repro_file;
+  std::string out_dir = ".";
   std::string trace_dir;    ///< when set, per-seed "lmc-trace/1" JSONL files land here
   std::string profile_dir;  ///< when set, per-seed "lmc-prof/2" JSONL files land here
   bool verbose = false;
@@ -74,8 +76,7 @@ int usage() {
                "                [--lmc-threads L] [--time-budget SEC] [--audit-every K]\n"
                "                [--audit-validity] [--symmetry] [--symmetric-specs] [--por]\n"
                "                [--out-dir DIR] [--trace-dir DIR] [--profile-dir DIR]\n"
-               "                [--verbose]\n"
-               "       lmc_fuzz --repro FILE\n");
+               "                [--verbose]\n");
   return 2;
 }
 
@@ -108,14 +109,12 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.check_por = true;
     } else if (arg == "--symmetric-specs") {
       a.symmetric_specs = true;
-    } else if ((arg == "--out-dir" || arg == "--artifact-dir") && (v = next())) {
-      a.artifact_dir = v;
+    } else if (arg == "--out-dir" && (v = next())) {
+      a.out_dir = v;
     } else if (arg == "--trace-dir" && (v = next())) {
       a.trace_dir = v;
     } else if (arg == "--profile-dir" && (v = next())) {
       a.profile_dir = v;
-    } else if (arg == "--repro" && (v = next())) {
-      a.repro_file = v;
     } else {
       return false;
     }
@@ -135,49 +134,6 @@ OracleOptions oracle_options(const Args& a) {
   return opt;
 }
 
-Blob read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("cannot open " + path);
-  Blob data;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) data.insert(data.end(), buf, buf + n);
-  std::fclose(f);
-  return data;
-}
-
-void dump_artifact(const Args& a, std::uint64_t seed, const ShrinkResult& shrunk,
-                   const ProtoSpec& original) {
-  ArtifactPaths paths = write_repro_artifacts(a.artifact_dir, seed, shrunk, original);
-  std::printf("  repro dumped: %s + .txt + .lmc\n", paths.bin.c_str());
-}
-
-int run_repro(const Args& a) {
-  const Blob data = read_file(a.repro_file);
-  Reader r(data);
-  ProtoSpec spec = ProtoSpec::deserialize(r);
-  r.expect_exhausted();
-  if (std::string err = validate_spec(spec); !err.empty()) {
-    std::fprintf(stderr, "invalid spec: %s\n", err.c_str());
-    return 2;
-  }
-  std::printf("%s", to_string(spec).c_str());
-  GeneratedProtocol p = instantiate(spec);
-  OracleReport rep = DiffOracle(oracle_options(a)).check(p.cfg, p.invariant.get());
-  if (!rep.conclusive) {
-    std::printf("inconclusive: %s\n", rep.detail.c_str());
-    return 1;
-  }
-  if (rep.ok) {
-    std::printf("ok: checkers agree (%" PRIu64 " global states, %" PRIu64
-                " confirmed violations)\n",
-                rep.gmc_states, rep.lmc_confirmed);
-    return 0;
-  }
-  std::printf("DISAGREEMENT [%s]: %s\n", to_string(rep.failure), rep.detail.c_str());
-  return 1;
-}
-
 struct SeedResult {
   OracleReport report;
   std::string error;  ///< non-empty when the oracle itself threw
@@ -189,8 +145,6 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return usage();
   try {
-    if (!args.repro_file.empty()) return run_repro(args);
-
     GenLimits lim;
     lim.max_nodes = args.max_nodes;
     const OracleOptions oopt = oracle_options(args);
@@ -203,7 +157,7 @@ int main(int argc, char** argv) {
     pool.run(args.runs, [&](std::size_t i) {
       const std::uint64_t seed = args.seed + i;
       try {
-        GeneratedProtocol p = instantiate(gen(seed));
+        dsl::CompiledProtocol p = dsl::instantiate(gen(seed));
         if (args.trace_dir.empty() && args.profile_dir.empty()) {
           results[i].report = DiffOracle(oopt).check(p.cfg, p.invariant.get());
         } else {
@@ -280,11 +234,12 @@ int main(int argc, char** argv) {
     // Shrink serially after the sweep: failures are rare and a stable
     // artifact should not depend on worker scheduling.
     for (std::uint64_t seed : failed_seeds) {
-      const ProtoSpec original = gen(seed);
       const OracleFailure kind = results[seed - args.seed].report.failure;
       std::printf("shrinking seed %" PRIu64 " [%s]...\n", seed, to_string(kind));
-      ShrinkResult shrunk = shrink_spec(original, kind, oopt);
-      dump_artifact(args, seed, shrunk, original);
+      ShrinkResult shrunk = shrink_spec(gen(seed), kind, oopt);
+      const std::string path =
+          write_repro_artifact(args.out_dir, seed, shrunk, oopt, lim, args.symmetric_specs);
+      std::printf("  repro written: %s\n", path.c_str());
     }
 
     std::printf("lmc_fuzz: %" PRIu64 " run(s): %" PRIu64 " ok, %" PRIu64 " inconclusive, %" PRIu64

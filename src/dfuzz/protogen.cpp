@@ -1,196 +1,85 @@
 #include "dfuzz/protogen.hpp"
 
-#include <sstream>
-#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "dfuzz/rng.hpp"
-#include "runtime/hash.hpp"
 
 namespace lmc::dfuzz {
 
-// --- spec (de)serialization ------------------------------------------------
-
 namespace {
 
-void write_action(Writer& w, const RuleAction& a) {
-  w.u32(a.goto_state);
-  w.u32(static_cast<std::uint32_t>(a.sends.size()));
-  for (const SendAction& s : a.sends) {
-    w.u32(s.dst);
-    w.u32(s.type);
-    w.u32(s.tag);
-  }
-  w.b(a.fail_assert);
+using dsl::DslSpec;
+using dsl::SpecAction;
+using dsl::SpecInternalRule;
+using dsl::SpecMsgRule;
+using dsl::SpecSend;
+
+/// Protocol name, provenance seed, node count and the synthesized state and
+/// message names every generated spec shares.
+DslSpec skeleton(std::uint64_t seed, std::uint32_t nodes, std::uint32_t states,
+                 std::uint32_t msg_types) {
+  DslSpec spec;
+  spec.name = "dfuzz_seed_" + std::to_string(seed);
+  spec.seed = seed;
+  spec.num_nodes = nodes;
+  for (std::uint32_t i = 0; i < states; ++i) spec.states.push_back("s" + std::to_string(i));
+  for (std::uint32_t i = 0; i < msg_types; ++i) spec.messages.push_back("m" + std::to_string(i));
+  return spec;
 }
 
-RuleAction read_action(Reader& r) {
-  RuleAction a;
-  a.goto_state = r.u32();
-  std::uint32_t n = r.u32();
-  a.sends.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    SendAction s;
-    s.dst = r.u32();
-    s.type = r.u32();
-    s.tag = r.u32();
-    a.sends.push_back(s);
-  }
-  a.fail_assert = r.b();
-  return a;
+SpecSend fixed_send(NodeId dst, std::uint32_t type, std::uint32_t tag) {
+  SpecSend s;
+  s.dst = dst;
+  s.type = type;
+  s.tag = tag;
+  return s;
+}
+
+void add_internal(DslSpec& spec, SpecInternalRule r) {
+  r.label = "r" + std::to_string(spec.internals.size());
+  spec.internals.push_back(std::move(r));
+}
+
+/// Keep a drawn message rule unless an earlier rule owns its (node, type,
+/// guard): under first-match dispatch it could never fire (DSL04).
+void add_msg_rule(DslSpec& spec, SpecMsgRule r) {
+  for (const SpecMsgRule& kept : spec.msg_rules)
+    if (kept.node == r.node && kept.type == r.type && kept.guard_state == r.guard_state) return;
+  spec.msg_rules.push_back(std::move(r));
+}
+
+/// Both states are >= 1, so the all-zero initial system state never
+/// violates trivially (A == B means at most one node in A).
+void add_mutex(DslSpec& spec, std::uint32_t state_a, std::uint32_t state_b, bool projected) {
+  dsl::SpecInvariant inv;
+  inv.name = "mutex";
+  inv.projected = projected;
+  inv.a = {state_a};
+  inv.b = {state_b};
+  spec.invariants.push_back(std::move(inv));
 }
 
 }  // namespace
 
-void ProtoSpec::serialize(Writer& w) const {
-  w.u64(seed);
-  w.u32(num_nodes);
-  w.u32(num_states);
-  w.u32(num_msg_types);
-  w.u32(static_cast<std::uint32_t>(internals.size()));
-  for (const InternalRule& r : internals) {
-    w.u32(r.node);
-    w.u32(r.guard_state);
-    write_action(w, r.action);
-  }
-  w.u32(static_cast<std::uint32_t>(msg_rules.size()));
-  for (const MsgRule& r : msg_rules) {
-    w.u32(r.node);
-    w.u32(r.type);
-    w.u32(r.guard_state);
-    write_action(w, r.action);
-  }
-  w.u32(invariant.state_a);
-  w.u32(invariant.state_b);
-  w.b(invariant.use_projection);
-}
-
-ProtoSpec ProtoSpec::deserialize(Reader& r) {
-  ProtoSpec s;
-  s.seed = r.u64();
-  s.num_nodes = r.u32();
-  s.num_states = r.u32();
-  s.num_msg_types = r.u32();
-  std::uint32_t ni = r.u32();
-  s.internals.reserve(ni);
-  for (std::uint32_t i = 0; i < ni; ++i) {
-    InternalRule ir;
-    ir.node = r.u32();
-    ir.guard_state = r.u32();
-    ir.action = read_action(r);
-    s.internals.push_back(std::move(ir));
-  }
-  std::uint32_t nm = r.u32();
-  s.msg_rules.reserve(nm);
-  for (std::uint32_t i = 0; i < nm; ++i) {
-    MsgRule mr;
-    mr.node = r.u32();
-    mr.type = r.u32();
-    mr.guard_state = r.u32();
-    mr.action = read_action(r);
-    s.msg_rules.push_back(std::move(mr));
-  }
-  s.invariant.state_a = r.u32();
-  s.invariant.state_b = r.u32();
-  s.invariant.use_projection = r.b();
-  return s;
-}
-
-std::string validate_spec(const ProtoSpec& spec) {
-  if (spec.num_nodes < 2) return "num_nodes < 2";
-  if (spec.num_states < 2) return "num_states < 2";
-  if (spec.num_msg_types < 1) return "num_msg_types < 1";
-  if (spec.internals.size() > 32) return "more than 32 internal rules (fired bitmask)";
-  auto check_action = [&](const RuleAction& a) -> std::string {
-    if (a.goto_state >= spec.num_states) return "goto_state out of range";
-    for (const SendAction& s : a.sends) {
-      if (s.dst >= spec.num_nodes) return "send dst out of range";
-      if (s.type >= spec.num_msg_types) return "send type out of range";
-    }
-    return "";
-  };
-  for (const InternalRule& r : spec.internals) {
-    if (r.node >= spec.num_nodes) return "internal rule node out of range";
-    if (r.guard_state >= spec.num_states) return "internal guard out of range";
-    if (std::string e = check_action(r.action); !e.empty()) return "internal rule: " + e;
-  }
-  for (const MsgRule& r : spec.msg_rules) {
-    if (r.node >= spec.num_nodes) return "msg rule node out of range";
-    if (r.type >= spec.num_msg_types) return "msg rule type out of range";
-    if (r.guard_state >= spec.num_states) return "msg guard out of range";
-    if (std::string e = check_action(r.action); !e.empty()) return "msg rule: " + e;
-    // The monotonicity that bounds message-driven progress (header comment).
-    if (r.action.goto_state <= r.guard_state) return "msg rule not monotone";
-  }
-  const InvariantSpec& iv = spec.invariant;
-  if (iv.state_a < 1 || iv.state_a >= spec.num_states) return "invariant state_a out of range";
-  if (iv.state_b < 1 || iv.state_b >= spec.num_states) return "invariant state_b out of range";
-  return "";
-}
-
-ProtoSpec drop_shadowed_rules(const ProtoSpec& spec) {
-  ProtoSpec out = spec;
-  out.msg_rules.clear();
-  for (const MsgRule& r : spec.msg_rules) {
-    bool shadowed = false;
-    for (const MsgRule& kept : out.msg_rules)
-      if (kept.node == r.node && kept.type == r.type && kept.guard_state == r.guard_state) {
-        shadowed = true;
-        break;
-      }
-    if (!shadowed) out.msg_rules.push_back(r);
-  }
-  return out;
-}
-
-std::string to_string(const ProtoSpec& spec) {
-  std::ostringstream os;
-  os << "ProtoSpec seed=" << spec.seed << " nodes=" << spec.num_nodes
-     << " states=" << spec.num_states << " msg_types=" << spec.num_msg_types << "\n";
-  auto action = [&](const RuleAction& a) {
-    os << "-> s" << a.goto_state;
-    for (const SendAction& s : a.sends)
-      os << " send(dst=" << s.dst << ", type=" << s.type << ", tag=" << s.tag << ")";
-    if (a.fail_assert) os << " ASSERT-FAIL";
-    os << "\n";
-  };
-  for (std::size_t i = 0; i < spec.internals.size(); ++i) {
-    const InternalRule& r = spec.internals[i];
-    os << "  HA[" << i << "] node " << r.node << " @s" << r.guard_state << " (once) ";
-    action(r.action);
-  }
-  for (std::size_t i = 0; i < spec.msg_rules.size(); ++i) {
-    const MsgRule& r = spec.msg_rules[i];
-    os << "  HM[" << i << "] node " << r.node << " @s" << r.guard_state << " type " << r.type
-       << " ";
-    action(r.action);
-  }
-  os << "  invariant: !(node_i in s" << spec.invariant.state_a << " && node_j in s"
-     << spec.invariant.state_b << ", i != j)"
-     << (spec.invariant.use_projection ? " [projected]" : "") << "\n";
-  return std::move(os).str();
-}
-
-// --- generation ------------------------------------------------------------
-
-ProtoSpec generate_spec(std::uint64_t seed, const GenLimits& lim) {
+DslSpec generate_spec(std::uint64_t seed, const GenLimits& lim) {
   Rng rng(seed);
-  ProtoSpec spec;
-  spec.seed = seed;
-  spec.num_nodes = rng.range(2, lim.max_nodes < 2 ? 2 : lim.max_nodes);
-  spec.num_states = rng.range(2, lim.max_states < 2 ? 2 : lim.max_states);
-  spec.num_msg_types = rng.range(1, lim.max_msg_types < 1 ? 1 : lim.max_msg_types);
+  const std::uint32_t num_nodes = rng.range(2, lim.max_nodes < 2 ? 2 : lim.max_nodes);
+  const std::uint32_t num_states = rng.range(2, lim.max_states < 2 ? 2 : lim.max_states);
+  const std::uint32_t num_msg_types =
+      rng.range(1, lim.max_msg_types < 1 ? 1 : lim.max_msg_types);
+  DslSpec spec = skeleton(seed, num_nodes, num_states, num_msg_types);
 
   std::uint32_t tag = 0;
   auto gen_action = [&](std::uint32_t min_goto) {
-    RuleAction a;
-    a.goto_state = rng.range(min_goto, spec.num_states - 1);
-    std::uint32_t sends = rng.range(0, lim.max_sends);
+    SpecAction a;
+    a.goto_state = rng.range(min_goto, num_states - 1);
+    const std::uint32_t sends = rng.range(0, lim.max_sends);
     for (std::uint32_t s = 0; s < sends; ++s) {
-      SendAction sa;
-      sa.dst = rng.range(0, spec.num_nodes - 1);
-      sa.type = rng.range(0, spec.num_msg_types - 1);
-      sa.tag = tag++;  // distinct payloads: rules never alias each other's traffic
-      a.sends.push_back(sa);
+      const NodeId dst = rng.range(0, num_nodes - 1);
+      const std::uint32_t type = rng.range(0, num_msg_types - 1);
+      // Distinct payloads: rules never alias each other's traffic.
+      a.sends.push_back(fixed_send(dst, type, tag++));
     }
     a.fail_assert = rng.chance(lim.assert_pct);
     return a;
@@ -199,11 +88,12 @@ ProtoSpec generate_spec(std::uint64_t seed, const GenLimits& lim) {
   // At least one internal rule per protocol, and the first one guards on
   // the initial state: otherwise (empty network, nothing enabled) the whole
   // run is a trivial no-op and the seed is wasted.
-  std::uint32_t n_int = rng.range(1, lim.max_internal_rules < 1 ? 1 : lim.max_internal_rules);
+  const std::uint32_t n_int =
+      rng.range(1, lim.max_internal_rules < 1 ? 1 : lim.max_internal_rules);
   for (std::uint32_t i = 0; i < n_int; ++i) {
-    InternalRule r;
-    r.node = rng.range(0, spec.num_nodes - 1);
-    r.guard_state = i == 0 ? 0 : rng.range(0, spec.num_states - 1);
+    SpecInternalRule r;
+    r.node = rng.range(0, num_nodes - 1);
+    r.guard_state = i == 0 ? 0 : rng.range(0, num_states - 1);
     // Non-decreasing goto: together with the message rules' strict
     // progress this makes the node state monotone along any chain, so no
     // rule ever executes twice in one run and no message content is ever
@@ -213,37 +103,37 @@ ProtoSpec generate_spec(std::uint64_t seed, const GenLimits& lim) {
     // interpreter but produces protocols the local checker is documented
     // to under-approximate, which the differential oracle would flag.
     r.action = gen_action(r.guard_state);
-    spec.internals.push_back(std::move(r));
+    add_internal(spec, std::move(r));
   }
 
-  std::uint32_t n_msg = rng.range(0, lim.max_msg_rules);
+  const std::uint32_t n_msg = rng.range(0, lim.max_msg_rules);
   for (std::uint32_t i = 0; i < n_msg; ++i) {
-    MsgRule r;
-    r.node = rng.range(0, spec.num_nodes - 1);
-    r.type = rng.range(0, spec.num_msg_types - 1);
-    r.guard_state = rng.range(0, spec.num_states - 2);
+    SpecMsgRule r;
+    r.node = rng.range(0, num_nodes - 1);
+    r.type = rng.range(0, num_msg_types - 1);
+    r.guard_state = rng.range(0, num_states - 2);
     r.action = gen_action(r.guard_state + 1);  // strictly up: bounded progress
-    spec.msg_rules.push_back(std::move(r));
+    add_msg_rule(spec, std::move(r));
   }
 
-  spec.invariant.state_a = rng.range(1, spec.num_states - 1);
-  spec.invariant.state_b = rng.range(1, spec.num_states - 1);
-  spec.invariant.use_projection = rng.chance(lim.projection_pct);
+  const std::uint32_t state_a = rng.range(1, num_states - 1);
+  const std::uint32_t state_b = rng.range(1, num_states - 1);
+  add_mutex(spec, state_a, state_b, rng.chance(lim.projection_pct));
   return spec;
 }
 
-ProtoSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim) {
+DslSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim) {
   Rng rng(seed);
-  ProtoSpec spec;
-  spec.seed = seed;
   // Partition the nodes into drivers [0, drivers) and one replicated class
   // [drivers, num_nodes). At least one driver, at least two members.
   const std::uint32_t max_n = lim.max_nodes < 3 ? 3 : lim.max_nodes;
   const std::uint32_t drivers = rng.range(1, max_n - 2);
   const std::uint32_t members = rng.range(2, max_n - drivers);
-  spec.num_nodes = drivers + members;
-  spec.num_states = rng.range(2, lim.max_states < 2 ? 2 : lim.max_states);
-  spec.num_msg_types = rng.range(1, lim.max_msg_types < 1 ? 1 : lim.max_msg_types);
+  const std::uint32_t num_nodes = drivers + members;
+  const std::uint32_t num_states = rng.range(2, lim.max_states < 2 ? 2 : lim.max_states);
+  const std::uint32_t num_msg_types =
+      rng.range(1, lim.max_msg_types < 1 ? 1 : lim.max_msg_types);
+  DslSpec spec = skeleton(seed, num_nodes, num_states, num_msg_types);
 
   std::uint32_t tag = 0;
 
@@ -255,24 +145,24 @@ ProtoSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim) {
   const std::uint32_t n_drv =
       rng.range(1, lim.max_internal_rules < 1 ? 1 : lim.max_internal_rules);
   for (std::uint32_t i = 0; i < n_drv; ++i) {
-    InternalRule r;
+    SpecInternalRule r;
     r.node = static_cast<NodeId>(rng.range(0, drivers - 1));
-    r.guard_state = i == 0 ? 0 : rng.range(0, spec.num_states - 1);
-    r.action.goto_state = rng.range(r.guard_state, spec.num_states - 1);
+    r.guard_state = i == 0 ? 0 : rng.range(0, num_states - 1);
+    r.action.goto_state = rng.range(r.guard_state, num_states - 1);
     const std::uint32_t sends = i == 0 ? 1 : rng.range(0, lim.max_sends);
     for (std::uint32_t s = 0; s < sends; ++s) {
-      const std::uint32_t type = rng.range(0, spec.num_msg_types - 1);
+      const std::uint32_t type = rng.range(0, num_msg_types - 1);
       if (i == 0 || rng.chance(70)) {
         const std::uint32_t t = tag++;
-        for (std::uint32_t m = drivers; m < spec.num_nodes; ++m)
-          r.action.sends.push_back(SendAction{static_cast<NodeId>(m), type, t});
+        for (std::uint32_t m = drivers; m < num_nodes; ++m)
+          r.action.sends.push_back(fixed_send(static_cast<NodeId>(m), type, t));
       } else {
-        r.action.sends.push_back(
-            SendAction{static_cast<NodeId>(rng.range(0, drivers - 1)), type, tag++});
+        const NodeId dst = static_cast<NodeId>(rng.range(0, drivers - 1));
+        r.action.sends.push_back(fixed_send(dst, type, tag++));
       }
     }
     r.action.fail_assert = i != 0 && rng.chance(lim.assert_pct);
-    spec.internals.push_back(std::move(r));
+    add_internal(spec, std::move(r));
   }
 
   // Replicated member rules: each template is stamped out identically for
@@ -282,272 +172,52 @@ ProtoSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim) {
   // senders, keeping the delivery history a function of the driver's blob.
   const std::uint32_t n_msg_tpl = rng.range(1, 2);
   for (std::uint32_t t = 0; t < n_msg_tpl; ++t) {
-    const std::uint32_t type = t == 0 ? spec.internals[0].action.sends[0].type
-                                      : rng.range(0, spec.num_msg_types - 1);
-    const std::uint32_t guard = t == 0 ? 0 : rng.range(0, spec.num_states - 2);
-    const std::uint32_t target = rng.range(guard + 1, spec.num_states - 1);
+    const std::uint32_t type =
+        t == 0 ? spec.internals[0].action.sends[0].type : rng.range(0, num_msg_types - 1);
+    const std::uint32_t guard = t == 0 ? 0 : rng.range(0, num_states - 2);
+    const std::uint32_t target = rng.range(guard + 1, num_states - 1);
     const std::uint32_t replies = rng.range(0, 1);
     const NodeId reply_dst = static_cast<NodeId>(rng.range(0, drivers - 1));
-    const std::uint32_t reply_type = rng.range(0, spec.num_msg_types - 1);
+    const std::uint32_t reply_type = rng.range(0, num_msg_types - 1);
     const bool fail = rng.chance(lim.assert_pct);
-    for (std::uint32_t m = drivers; m < spec.num_nodes; ++m) {
-      MsgRule r;
+    for (std::uint32_t m = drivers; m < num_nodes; ++m) {
+      SpecMsgRule r;
       r.node = static_cast<NodeId>(m);
       r.type = type;
       r.guard_state = guard;
       r.action.goto_state = target;
       if (replies != 0)
-        r.action.sends.push_back(SendAction{reply_dst, reply_type, tag + (m - drivers)});
+        r.action.sends.push_back(fixed_send(reply_dst, reply_type, tag + (m - drivers)));
       r.action.fail_assert = fail;
-      spec.msg_rules.push_back(std::move(r));
+      add_msg_rule(spec, std::move(r));
     }
     if (replies != 0) tag += members;
   }
   if (rng.chance(50)) {
     // One replicated fire-once internal rule for the class.
-    const std::uint32_t guard = rng.range(0, spec.num_states - 1);
-    const std::uint32_t target = rng.range(guard, spec.num_states - 1);
+    const std::uint32_t guard = rng.range(0, num_states - 1);
+    const std::uint32_t target = rng.range(guard, num_states - 1);
     const std::uint32_t pokes = rng.range(0, 1);
     const NodeId poke_dst = static_cast<NodeId>(rng.range(0, drivers - 1));
-    const std::uint32_t poke_type = rng.range(0, spec.num_msg_types - 1);
-    for (std::uint32_t m = drivers; m < spec.num_nodes; ++m) {
-      InternalRule r;
+    const std::uint32_t poke_type = rng.range(0, num_msg_types - 1);
+    for (std::uint32_t m = drivers; m < num_nodes; ++m) {
+      SpecInternalRule r;
       r.node = static_cast<NodeId>(m);
       r.guard_state = guard;
       r.action.goto_state = target;
       if (pokes != 0)
-        r.action.sends.push_back(SendAction{poke_dst, poke_type, tag + (m - drivers)});
-      spec.internals.push_back(std::move(r));
+        r.action.sends.push_back(fixed_send(poke_dst, poke_type, tag + (m - drivers)));
+      add_internal(spec, std::move(r));
     }
     if (pokes != 0) tag += members;
   }
 
-  spec.invariant.state_a = rng.range(1, spec.num_states - 1);
-  spec.invariant.state_b = rng.range(1, spec.num_states - 1);
+  const std::uint32_t state_a = rng.range(1, num_states - 1);
+  const std::uint32_t state_b = rng.range(1, num_states - 1);
   // Never project: the GEN system-state path is the one symmetry reduction
   // hooks into (projection combos are arrangement-dependent).
-  spec.invariant.use_projection = false;
+  add_mutex(spec, state_a, state_b, /*projected=*/false);
   return spec;
-}
-
-// --- interpreter node ------------------------------------------------------
-
-void GenNode::apply(const RuleAction& a, Context& ctx) {
-  for (const SendAction& s : a.sends) {
-    Writer w;
-    w.u32(s.tag);
-    ctx.send(s.dst, s.type, std::move(w).take());
-  }
-  // Sends precede the assert: the messages are real traffic even when the
-  // successor state is discarded (the order Fig. 9's addNextState pins).
-  if (a.fail_assert) ctx.local_assert(false, "dfuzz: injected assert");
-  state_ = a.goto_state;
-}
-
-void GenNode::handle_message(const Message& m, Context& ctx) {
-  for (const MsgRule& r : spec_->msg_rules) {
-    if (r.node != self_ || r.type != m.type || r.guard_state != state_) continue;
-    // Fold the consumed tag into the digest BEFORE applying: a matched
-    // delivery always changes the blob, so the LMC history entry this
-    // execution creates corresponds 1:1 to a digest update. No-op drops
-    // (below) are excluded — they create no history entry either.
-    Reader pr(m.payload);
-    digest_ ^= mix64(static_cast<std::uint64_t>(pr.u32()) + 0x6d4f);
-    apply(r.action, ctx);
-    return;
-  }
-  // No matching rule: the delivery is a silent no-op. I+ offers every
-  // message to every state of its destination, so this must not assert.
-}
-
-std::vector<InternalEvent> GenNode::enabled_internal_events() const {
-  // Event kind = GLOBAL rule index (event identity must be unambiguous
-  // across nodes); the fired_ bit = the rule's position among self_'s OWN
-  // rules, so mirrored nodes whose rules sit at different global offsets
-  // still produce identical blobs (symmetry-class alignment).
-  std::vector<InternalEvent> evs;
-  std::uint32_t local = 0;
-  for (std::size_t i = 0; i < spec_->internals.size(); ++i) {
-    const InternalRule& r = spec_->internals[i];
-    if (r.node != self_) continue;
-    const std::uint32_t bit = local++;
-    if (r.guard_state != state_) continue;
-    if (fired_ & (1u << bit)) continue;
-    evs.push_back(InternalEvent{static_cast<std::uint32_t>(i) + 1, {}});
-  }
-  return evs;
-}
-
-void GenNode::handle_internal(const InternalEvent& ev, Context& ctx) {
-  const std::size_t idx = ev.kind - 1;
-  if (idx >= spec_->internals.size()) {
-    ctx.local_assert(false, "dfuzz: unknown internal rule");
-    return;
-  }
-  const InternalRule& r = spec_->internals[idx];
-  std::uint32_t bit = 0;
-  for (std::size_t k = 0; k < idx; ++k)
-    if (spec_->internals[k].node == self_) ++bit;
-  if (r.node != self_ || r.guard_state != state_ || (fired_ & (1u << bit)) != 0) {
-    ctx.local_assert(false, "dfuzz: internal rule not enabled");
-    return;
-  }
-  fired_ |= 1u << bit;
-  apply(r.action, ctx);
-}
-
-void GenNode::serialize(Writer& w) const {
-  w.u32(state_);
-  w.u32(fired_);
-  w.u64(digest_);
-}
-
-void GenNode::deserialize(Reader& r) {
-  state_ = r.u32();
-  fired_ = r.u32();
-  digest_ = r.u64();
-}
-
-std::uint32_t gen_state_of(const Blob& state) {
-  Reader r(state);
-  return r.u32();
-}
-
-// --- invariant -------------------------------------------------------------
-
-std::string GenInvariant::name() const {
-  return "dfuzz.mutex_s" + std::to_string(spec_->invariant.state_a) + "_s" +
-         std::to_string(spec_->invariant.state_b);
-}
-
-bool GenInvariant::holds(const SystemConfig&, const SystemStateView& sys) const {
-  const std::uint32_t a = spec_->invariant.state_a;
-  const std::uint32_t b = spec_->invariant.state_b;
-  for (std::size_t i = 0; i < sys.size(); ++i) {
-    const std::uint32_t si = gen_state_of(*sys[i]);
-    if (si != a && si != b) continue;
-    for (std::size_t j = i + 1; j < sys.size(); ++j) {
-      const std::uint32_t sj = gen_state_of(*sys[j]);
-      if ((si == a && sj == b) || (sj == a && si == b)) return false;
-    }
-  }
-  return true;
-}
-
-Projection GenInvariant::project(const SystemConfig&, NodeId, const Blob& state) const {
-  // key 0: the node is in state A; key 1: in state B. Unmapped otherwise —
-  // such states can never join a violation, which is what LMC-OPT exploits.
-  const std::uint32_t s = gen_state_of(state);
-  Projection p;
-  if (s == spec_->invariant.state_a) p.emplace_back(0, 1);
-  if (s == spec_->invariant.state_b) p.emplace_back(1, 1);
-  return p;
-}
-
-bool GenInvariant::projections_conflict(const Projection& a, const Projection& b) const {
-  auto has = [](const Projection& p, std::uint64_t key) {
-    for (const auto& [k, v] : p)
-      if (k == key) return v != 0;
-    return false;
-  };
-  // Two DISTINCT nodes (the pair scan never pairs a state with itself on
-  // the same node) where one sits in A and the other in B — exactly the
-  // violation holds() reports.
-  return (has(a, 0) && has(b, 1)) || (has(b, 0) && has(a, 1));
-}
-
-// --- instantiation ---------------------------------------------------------
-
-std::vector<std::vector<NodeId>> infer_symmetric_roles(const ProtoSpec& spec) {
-  std::vector<symmetry::NodeSig> sigs(spec.num_nodes);
-  auto sig_action = [](symmetry::RuleSig& sig, const RuleAction& a) {
-    sig.goto_state = a.goto_state;
-    sig.fail_assert = a.fail_assert;
-    for (const SendAction& s : a.sends)
-      sig.sends.push_back(symmetry::SigSend{/*to_sender=*/false, s.dst, s.type});
-  };
-  for (const InternalRule& r : spec.internals) {
-    symmetry::RuleSig sig;
-    sig.guard = r.guard_state;
-    sig_action(sig, r.action);
-    sigs[r.node].internals.push_back(std::move(sig));
-  }
-  for (const MsgRule& r : spec.msg_rules) {
-    symmetry::RuleSig sig;
-    sig.trigger = r.type;
-    sig.guard = r.guard_state;
-    sig_action(sig, r.action);
-    sigs[r.node].msgs.push_back(std::move(sig));
-  }
-  return symmetry::infer_classes(sigs);
-}
-
-// Footprint extraction, the exact mirror of dsl::extract_footprints: every
-// generated rule is a guarded state transition (table flavor); the internal
-// kind convention is global rule index + 1; message types with no rule at a
-// node are null handlers (guaranteed no-op deliveries).
-std::shared_ptr<const ProtocolFootprints> extract_footprints(const ProtoSpec& spec) {
-  auto fp = std::make_shared<ProtocolFootprints>();
-  fp->nodes.resize(spec.num_nodes);
-  for (NodeId n = 0; n < spec.num_nodes; ++n) {
-    NodeFootprints& nf = fp->nodes[n];
-    nf.node = n;
-    nf.complete = true;
-    for (std::size_t i = 0; i < spec.internals.size(); ++i) {
-      const InternalRule& r = spec.internals[i];
-      if (r.node != n) continue;
-      RuleFootprint rf;
-      rf.is_message = false;
-      rf.key = static_cast<std::uint32_t>(i) + 1;
-      rf.label = "internal#" + std::to_string(i);
-      rf.guard_states.push_back(r.guard_state);
-      rf.goto_states.push_back(r.action.goto_state);
-      rf.fire_once = true;
-      rf.sends = !r.action.sends.empty();
-      rf.asserts = r.action.fail_assert;
-      nf.rules.push_back(std::move(rf));
-    }
-    for (std::uint32_t t = 0; t < spec.num_msg_types; ++t) {
-      bool any = false;
-      for (const MsgRule& r : spec.msg_rules) {
-        if (r.node != n || r.type != t) continue;
-        any = true;
-        RuleFootprint rf;
-        rf.is_message = true;
-        rf.key = t;
-        rf.label = "msg#" + std::to_string(t);
-        rf.guard_states.push_back(r.guard_state);
-        rf.goto_states.push_back(r.action.goto_state);
-        rf.sends = !r.action.sends.empty();
-        rf.asserts = r.action.fail_assert;
-        nf.rules.push_back(std::move(rf));
-      }
-      if (!any) {
-        RuleFootprint rf;
-        rf.is_message = true;
-        rf.key = t;
-        rf.label = "msg#" + std::to_string(t);
-        nf.rules.push_back(std::move(rf));
-      }
-    }
-  }
-  return fp;
-}
-
-GeneratedProtocol instantiate(const ProtoSpec& spec) {
-  if (std::string err = validate_spec(spec); !err.empty())
-    throw std::invalid_argument("dfuzz: invalid ProtoSpec: " + err);
-  GeneratedProtocol p;
-  p.spec = std::make_shared<const ProtoSpec>(spec);
-  p.cfg.num_nodes = spec.num_nodes;
-  p.cfg.symmetric_roles = infer_symmetric_roles(spec);
-  p.cfg.footprints = extract_footprints(spec);
-  std::shared_ptr<const ProtoSpec> shared = p.spec;
-  p.cfg.factory = [shared](NodeId self, std::uint32_t) {
-    return std::make_unique<GenNode>(self, shared);
-  };
-  p.invariant = std::make_unique<GenInvariant>(p.spec);
-  return p;
 }
 
 }  // namespace lmc::dfuzz

@@ -2,7 +2,8 @@
 // existing HM/HA handler model, for differential checking of LMC against
 // the global baseline.
 //
-// A generated node is an interpreter over a `ProtoSpec` rule table:
+// A generated protocol is an elaborated `dsl::DslSpec`, run by the same
+// interpreter as every .lmc file (dsl::instantiate, dsl/interp.hpp):
 //  * internal rules (HA) are fire-once — a per-node bitmask of consumed
 //    rules is part of the serialized state, so each node contributes at
 //    most `num_states * 2^|internals|` local states;
@@ -14,102 +15,24 @@
 // reference checker terminates on every generated protocol, which is what
 // lets the differential oracle demand a completed baseline run.
 //
+// Names are synthesized: protocol `dfuzz_seed_<seed>`, states s0.., messages
+// m0.., internal labels r<i> (i = the rule's draw order), one invariant
+// `mutex`. A drawn message rule whose (node, type, guard) an earlier rule
+// already owns is dropped: it could never fire, and the DSL rejects it as
+// DSL04. Its RNG draws and payload tags are still consumed, so every kept
+// rule is exactly what the seed drew.
+//
 // The generated invariant is a two-state mutual-exclusion property ("no two
-// distinct nodes simultaneously in states A and B"), with an optional
-// pairwise projection whose conflict predicate matches holds() exactly —
+// distinct nodes simultaneously in states A and B"), optionally projected
 // so the same generated protocol exercises both the LMC-GEN and LMC-OPT
 // system-state builders.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "mc/invariant.hpp"
-#include "mc/symmetry/role_group.hpp"
-#include "runtime/state_machine.hpp"
+#include "dsl/spec.hpp"
 
 namespace lmc::dfuzz {
-
-/// One message emission baked into a rule. `tag` is an arbitrary payload
-/// discriminator so distinct rules produce distinct message content.
-struct SendAction {
-  NodeId dst = 0;
-  std::uint32_t type = 0;
-  std::uint32_t tag = 0;
-  bool operator==(const SendAction&) const = default;
-};
-
-/// Effect of a rule firing: sends, then an optional injected local-assert
-/// failure (the handler sent real traffic BEFORE the assert tripped — the
-/// interleaving class behind PR 2's I+ regression), then the state change.
-struct RuleAction {
-  std::uint32_t goto_state = 0;
-  std::vector<SendAction> sends;
-  bool fail_assert = false;
-  bool operator==(const RuleAction&) const = default;
-};
-
-/// HA rule: fires at most once per node, only while the node sits in
-/// `guard_state`. May move the state anywhere (fire-once keeps it bounded).
-struct InternalRule {
-  NodeId node = 0;
-  std::uint32_t guard_state = 0;
-  RuleAction action;
-  bool operator==(const InternalRule&) const = default;
-};
-
-/// HM rule: applies when `node` receives a message of `type` while in
-/// `guard_state`; action.goto_state must be strictly greater than the
-/// guard (monotone progress). Messages matching no rule are dropped.
-struct MsgRule {
-  NodeId node = 0;
-  std::uint32_t type = 0;
-  std::uint32_t guard_state = 0;
-  RuleAction action;
-  bool operator==(const MsgRule&) const = default;
-};
-
-/// "No two distinct nodes in states A and B at once" (A == B allowed:
-/// at-most-one-node-in-A). Both states are >= 1 so the all-zero initial
-/// system state never violates trivially.
-struct InvariantSpec {
-  std::uint32_t state_a = 1;
-  std::uint32_t state_b = 1;
-  bool use_projection = false;  ///< expose the pairwise projection (OPT path)
-  bool operator==(const InvariantSpec&) const = default;
-};
-
-struct ProtoSpec {
-  std::uint64_t seed = 0;  ///< generator seed, kept for repro artifacts
-  std::uint32_t num_nodes = 2;
-  std::uint32_t num_states = 2;
-  std::uint32_t num_msg_types = 1;
-  std::vector<InternalRule> internals;
-  std::vector<MsgRule> msg_rules;
-  InvariantSpec invariant;
-
-  bool operator==(const ProtoSpec&) const = default;
-
-  void serialize(Writer& w) const;
-  static ProtoSpec deserialize(Reader& r);
-};
-
-/// Structural validity: ids in range, message rules monotone, rule count
-/// fits the fire-once bitmask. Returns an empty string when valid.
-std::string validate_spec(const ProtoSpec& spec);
-
-/// Human-readable rendering for repro artifacts and failure messages.
-std::string to_string(const ProtoSpec& spec);
-
-/// Drop message rules shadowed by an earlier rule with the same
-/// (node, type, guard): GenNode dispatch is first-match, so a shadowed rule
-/// can never fire and the pruned spec executes byte-identically (internal
-/// rules are untouched — each owns its own fire-once bit). The .lmc bridge
-/// canonicalizes through this, because the DSL rejects shadowed handlers
-/// outright [DSL04].
-ProtoSpec drop_shadowed_rules(const ProtoSpec& spec);
 
 /// Generation bounds. Defaults keep a single protocol's reachable global
 /// state space in the low thousands — a differential run is milliseconds.
@@ -126,7 +49,7 @@ struct GenLimits {
 
 /// Pure function of (seed, limits): the same seed regenerates the same
 /// protocol on any platform/toolchain.
-ProtoSpec generate_spec(std::uint64_t seed, const GenLimits& lim = {});
+dsl::DslSpec generate_spec(std::uint64_t seed, const GenLimits& lim = {});
 
 /// Symmetric-roles generator (separate from the FROZEN generate_spec — the
 /// 53-seed corpus must keep regenerating byte-identically): a few driver
@@ -137,74 +60,6 @@ ProtoSpec generate_spec(std::uint64_t seed, const GenLimits& lim = {});
 /// senders apart — no history aliasing). Members never message each other.
 /// The invariant never projects, so the checker's GEN path runs and
 /// symmetry reduction can activate.
-ProtoSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim = {});
-
-/// Interpreter node. State = (current state, fired-internal-rule bitmask,
-/// consumed-message digest). The digest — an order-insensitive XOR over the
-/// tags of the messages a rule actually consumed — makes the delivery
-/// history a function of the state blob: two traversal paths merge only
-/// when they consumed the same message SET (reorderings still merge, so
-/// LMC's predecessor merging is exercised), never with differing
-/// histories. That keeps generated protocols inside the local model's
-/// documented completeness envelope (DESIGN.md "Delivery history": the
-/// first path's history is inherited by the deduplicated state).
-class GenNode final : public StateMachine {
- public:
-  GenNode(NodeId self, std::shared_ptr<const ProtoSpec> spec)
-      : self_(self), spec_(std::move(spec)) {}
-
-  void handle_message(const Message& m, Context& ctx) override;
-  std::vector<InternalEvent> enabled_internal_events() const override;
-  void handle_internal(const InternalEvent& ev, Context& ctx) override;
-  void serialize(Writer& w) const override;
-  void deserialize(Reader& r) override;
-
- private:
-  void apply(const RuleAction& a, Context& ctx);
-
-  NodeId self_;
-  std::shared_ptr<const ProtoSpec> spec_;
-  std::uint32_t state_ = 0;
-  std::uint32_t fired_ = 0;   ///< bitmask over self_'s OWN internal rules, in table order
-  std::uint64_t digest_ = 0;  ///< XOR of mix64(tag) per consumed message
-};
-
-/// The generated mutual-exclusion invariant (see InvariantSpec).
-class GenInvariant final : public Invariant {
- public:
-  explicit GenInvariant(std::shared_ptr<const ProtoSpec> spec) : spec_(std::move(spec)) {}
-
-  std::string name() const override;
-  bool holds(const SystemConfig& cfg, const SystemStateView& sys) const override;
-  /// Mutual exclusion scans unordered node pairs — invariant under any node
-  /// permutation, so any class decomposition is admissible.
-  bool symmetric_under(const std::vector<std::vector<NodeId>>&) const override { return true; }
-  bool has_projection() const override { return spec_->invariant.use_projection; }
-  Projection project(const SystemConfig& cfg, NodeId n, const Blob& state) const override;
-  bool projections_conflict(const Projection& a, const Projection& b) const override;
-
- private:
-  std::shared_ptr<const ProtoSpec> spec_;
-};
-
-/// A spec made runnable. Owns the spec; `cfg` and `invariant` stay valid as
-/// long as this object lives (the checkers hold references into it).
-struct GeneratedProtocol {
-  std::shared_ptr<const ProtoSpec> spec;
-  SystemConfig cfg;
-  std::unique_ptr<GenInvariant> invariant;
-};
-
-/// Throws std::invalid_argument when validate_spec rejects the spec.
-/// Fills `cfg.symmetric_roles` via infer_symmetric_roles so
-/// `SymmetryMode::kAuto` works on generated protocols out of the box.
-GeneratedProtocol instantiate(const ProtoSpec& spec);
-
-/// Maximal classes of nodes whose rule tables are automorphic under id
-/// swaps (tags ignored; see symmetry::infer_classes).
-std::vector<std::vector<NodeId>> infer_symmetric_roles(const ProtoSpec& spec);
-
-/// Decode the `state` field of a serialized GenNode.
-std::uint32_t gen_state_of(const Blob& state);
+dsl::DslSpec generate_symmetric_spec(std::uint64_t seed, const GenLimits& lim = {});
 
 }  // namespace lmc::dfuzz

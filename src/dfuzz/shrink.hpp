@@ -6,12 +6,12 @@
 #include <cstdint>
 
 #include "dfuzz/oracle.hpp"
-#include "dfuzz/protogen.hpp"
+#include "dsl/spec.hpp"
 
 namespace lmc::dfuzz {
 
 struct ShrinkResult {
-  ProtoSpec spec;         ///< smallest failing spec found
+  dsl::DslSpec spec;      ///< smallest failing spec found
   OracleReport report;    ///< the oracle report on that spec
   std::uint64_t attempts = 0;   ///< oracle runs spent
   std::uint32_t removed = 0;    ///< accepted reductions
@@ -19,14 +19,15 @@ struct ShrinkResult {
 
 /// Greedily minimize `spec`, preserving `failure` (the divergence class the
 /// original run produced). A candidate counts as still-failing only when
-/// its oracle verdict is CONCLUSIVE and fails with the same failure kind —
-/// an inconclusive or differently-failing reduction is rejected, so the
-/// artifact always reproduces the reported bug. Reduction passes: drop
-/// message rules, drop internal rules, drop individual sends, clear
-/// injected asserts, drop ANY single node (its rules and traffic go with
-/// it; higher node ids are renumbered down to keep the id space dense).
-/// `max_attempts` bounds the total oracle invocations.
-ShrinkResult shrink_spec(const ProtoSpec& spec, OracleFailure failure, const OracleOptions& opt,
-                         std::uint64_t max_attempts = 400);
+/// dsl::validate accepts it and its oracle verdict is CONCLUSIVE and fails
+/// with the same failure kind — an inconclusive or differently-failing
+/// reduction is rejected, so the artifact always reproduces the reported
+/// bug. Reduction passes: drop message rules, drop internal rules, drop
+/// individual sends, clear injected asserts, drop ANY single node (its
+/// rules and traffic go with it; higher node ids are renumbered down to
+/// keep the id space dense). `max_attempts` bounds the total oracle
+/// invocations.
+ShrinkResult shrink_spec(const dsl::DslSpec& spec, OracleFailure failure,
+                         const OracleOptions& opt, std::uint64_t max_attempts = 400);
 
 }  // namespace lmc::dfuzz

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace lmc::dsl {
 
@@ -53,20 +54,51 @@ std::string validate(const DslSpec& spec) {
   if (spec.num_nodes < 2) return "fewer than 2 nodes";
   if (spec.states.size() < 2) return "fewer than 2 states";
   if (spec.internals.size() > 32) return "more than 32 elaborated internal rules";
-  for (const SpecInternalRule& r : spec.internals) {
+  // The uniqueness rules (DSL04, DSL05, DSL07) are plain pairwise scans: an
+  // elaborated spec holds a few dozen rules, and instantiate() runs this on
+  // every load.
+  std::vector<std::pair<NodeId, const SpecSend*>> sent;  // (source, send) so far
+  auto duplicate_send = [&](NodeId src, const SpecAction& a) -> std::string {
+    for (const SpecSend& s : a.sends) {
+      // Indistinguishable in-flight copies: the set network's duplicate
+      // limit of 0 would silently drop the second.
+      for (const auto& [psrc, p] : sent)
+        if (psrc == src && p->to_sender == s.to_sender && (s.to_sender || p->dst == s.dst) &&
+            p->type == s.type && p->tag == s.tag)
+          return "duplicate send content ('" + spec.messages[s.type] + "' tag " +
+                 std::to_string(s.tag) + " from node " + std::to_string(src) + ") [DSL07]";
+      sent.emplace_back(src, &s);
+    }
+    return "";
+  };
+  for (std::size_t i = 0; i < spec.internals.size(); ++i) {
+    const SpecInternalRule& r = spec.internals[i];
     if (r.node >= spec.num_nodes) return "internal rule node out of range";
     if (r.guard_state >= spec.states.size()) return "internal guard out of range";
     if (r.action.goto_state < r.guard_state) return "internal rule decreases the state";
     for (const SpecSend& s : r.action.sends)
       if (s.to_sender) return "internal rule sends to 'sender'";
     if (std::string e = check_action(spec, r.action); !e.empty()) return "internal rule: " + e;
+    for (std::size_t j = 0; j < i; ++j)
+      if (spec.internals[j].node == r.node && spec.internals[j].label == r.label)
+        return "duplicate internal label '" + r.label + "' on node " + std::to_string(r.node) +
+               " [DSL05]";
+    if (std::string e = duplicate_send(r.node, r.action); !e.empty()) return e;
   }
-  for (const SpecMsgRule& r : spec.msg_rules) {
+  for (std::size_t i = 0; i < spec.msg_rules.size(); ++i) {
+    const SpecMsgRule& r = spec.msg_rules[i];
     if (r.node >= spec.num_nodes) return "msg rule node out of range";
     if (r.type >= spec.messages.size()) return "msg rule type out of range";
     if (r.guard_state >= spec.states.size()) return "msg guard out of range";
     if (r.action.goto_state <= r.guard_state) return "msg rule not strictly monotone";
     if (std::string e = check_action(spec, r.action); !e.empty()) return "msg rule: " + e;
+    for (std::size_t j = 0; j < i; ++j) {
+      const SpecMsgRule& q = spec.msg_rules[j];
+      if (q.node == r.node && q.type == r.type && q.guard_state == r.guard_state)
+        return "duplicate message rule on node " + std::to_string(r.node) +
+               " (first match would hide it) [DSL04]";
+    }
+    if (std::string e = duplicate_send(r.node, r.action); !e.empty()) return e;
   }
   if (spec.invariants.empty()) return "no invariant";
   for (const SpecInvariant& inv : spec.invariants) {

@@ -1,15 +1,14 @@
 // Elaborated form of a .lmc protocol: every handler expanded to concrete
 // per-node rules for a fixed node count, names resolved to dense indices,
 // payload tags assigned. This is the layer the interpreter (interp.hpp)
-// executes and the ProtoGen bridge (bridge.hpp) maps to `dfuzz::ProtoSpec`.
+// executes, and the form dfuzz's generators (dfuzz/protogen.hpp) emit.
 //
-// The shape deliberately mirrors dfuzz's rule tables — fire-once internal
-// rules, strictly-monotone message rules, fixed sends — because those are
-// exactly the structural properties that keep a protocol inside the local
-// model's documented completeness envelope. The one extension over dfuzz is
-// `SpecSend::to_sender`: a reply destination resolved from the delivered
-// message at execution time (still deterministic — the sender is part of
-// the event, not hidden state).
+// The shape is a rule table — fire-once internal rules, strictly-monotone
+// message rules, fixed sends — because those are exactly the structural
+// properties that keep a protocol inside the local model's documented
+// completeness envelope. `SpecSend::to_sender` is a reply destination
+// resolved from the delivered message at execution time (still
+// deterministic — the sender is part of the event, not hidden state).
 #pragma once
 
 #include <cstdint>
@@ -96,9 +95,10 @@ struct DslSpec {
   bool operator==(const DslSpec&) const = default;
 };
 
-/// Loc-less structural re-check of an elaborated spec (defense in depth for
-/// specs built programmatically, e.g. by the ProtoGen bridge). Compilation
-/// from source reports the same conditions with positions. Empty == valid.
+/// Loc-less structural re-check of an elaborated spec: every condition the
+/// compiler reports with a position (DSL01-DSL09), checked again for specs
+/// built in code — the fuzz generators and the shrinker reach the
+/// interpreter through this alone. Empty == valid.
 std::string validate(const DslSpec& spec);
 
 /// Canonical fully-elaborated .lmc text: one rule per line with explicit

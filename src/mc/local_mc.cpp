@@ -1569,7 +1569,6 @@ CheckerImage LocalModelChecker::make_image() const {
     img.node_gens[n].assign(node_gens_[n].begin(), node_gens_[n].end());
     std::sort(img.node_gens[n].begin(), img.node_gens[n].end());
   }
-  img.pred_edges = pred_edges_;
   img.internal_scan = internal_scan_;
   img.stats = stats_;
   img.deferred.reserve(deferred_.size());
@@ -1639,7 +1638,6 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   node_gens_.assign(cfg_.num_nodes, {});
   for (NodeId n = 0; n < cfg_.num_nodes; ++n)
     node_gens_[n].insert(img.node_gens[n].begin(), img.node_gens[n].end());
-  pred_edges_ = std::move(img.pred_edges);
   stats_ = img.stats;
   deferred_.clear();
   deferred_.reserve(img.deferred.size());
@@ -1658,11 +1656,18 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
     pending_tasks_.push_back(
         Task{t.is_message, static_cast<std::size_t>(t.net_idx), t.node, t.state_idx});
 
-  // The projection index is derived state — rebuild it from the store under
-  // this checker's options (the checkpoint stays invariant-agnostic).
+  // The projection index and the pred-edge counts are derived state —
+  // rebuild them from the store under this checker's options (the
+  // checkpoint stays invariant-agnostic). Every recorded pred and
+  // self-loop is one counted edge.
   proj_index_.reset(cfg_.num_nodes);
+  pred_edges_.assign(cfg_.num_nodes, 0);
   for (NodeId n = 0; n < cfg_.num_nodes; ++n)
-    for (std::uint32_t i = 0; i < store_.size(n); ++i) index_state(n, i);
+    for (std::uint32_t i = 0; i < store_.size(n); ++i) {
+      index_state(n, i);
+      const NodeStateRec& r = store_.rec(n, i);
+      pred_edges_[n] += r.preds.size() + r.self_loops.size();
+    }
   // Re-resolve the reduction against the restored store, then restore the
   // orbit seen-set so already-counted orbits are not re-processed. Options
   // must agree with the writing run: a symmetry-mode mismatch would splice

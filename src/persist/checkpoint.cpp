@@ -139,7 +139,6 @@ Blob enc_events(const CheckerImage& img) {
 Blob enc_feasibility(const CheckerImage& img) {
   Writer w;
   for (NodeId n = 0; n < img.num_nodes; ++n) write_u64_vec(w, img.node_gens[n]);
-  for (NodeId n = 0; n < img.num_nodes; ++n) w.u64(img.pred_edges[n]);
   return std::move(w).take();
 }
 
@@ -324,13 +323,11 @@ void dec_events(Reader& r, CheckerImage& img) {
 
 void dec_feasibility(Reader& r, CheckerImage& img) {
   img.node_gens.resize(img.num_nodes);
-  img.pred_edges.resize(img.num_nodes);
   for (NodeId n = 0; n < img.num_nodes; ++n) {
     img.node_gens[n] = read_u64_vec(r);
     check(std::is_sorted(img.node_gens[n].begin(), img.node_gens[n].end()),
           "node_gens not sorted");
   }
-  for (NodeId n = 0; n < img.num_nodes; ++n) img.pred_edges[n] = r.u64();
   r.expect_exhausted();
 }
 

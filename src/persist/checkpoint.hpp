@@ -40,7 +40,7 @@ class CheckpointError : public std::runtime_error {
 inline constexpr char kCheckpointMagic[8] = {'L', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
 // Writers emit this version and readers accept only this version (layout and
 // history in persist/FORMAT.md).
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /// Section ids of the container format. Ids are stable across versions;
 /// readers skip ids they do not know.
@@ -50,7 +50,7 @@ enum SectionId : std::uint32_t {
   kSecStore = 3,        ///< LS_n: every traversed node state + pred graph
   kSecNetwork = 4,      ///< I+: entries with per-message cursors
   kSecEvents = 5,       ///< event table (hash -> message/internal event)
-  kSecFeasibility = 6,  ///< node_gens / pred_edges feasibility inputs
+  kSecFeasibility = 6,  ///< node_gens feasibility input
   kSecCursors = 7,      ///< per-node internal-event scan cursors
   kSecStats = 8,        ///< LocalMcStats as (name, value) pairs
   kSecDeferred = 9,     ///< phase-2 soundness queue
@@ -146,7 +146,6 @@ struct CheckerImage {
   EventTable events;
   StartSnapshot start;
   std::vector<std::vector<Hash64>> node_gens;  ///< per node, sorted
-  std::vector<std::uint64_t> pred_edges;
   std::vector<std::uint32_t> internal_scan;
   LocalMcStats stats;
   std::vector<DeferredCombo> deferred;

@@ -8,6 +8,7 @@
 
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
+#include "dsl/interp.hpp"
 #include "mc/local_mc.hpp"
 #include "protocols/election.hpp"
 #include "protocols/onepaxos.hpp"
@@ -272,7 +273,7 @@ TEST(AuditCorpus, FrozenFuzzCorpusAuditsClean) {
   seeds.push_back(664);
   std::uint64_t audited = 0;
   for (std::uint64_t seed : seeds) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "
                         << rep.detail;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dfuzz/protogen.hpp"
+#include "dsl/interp.hpp"
 #include "mc/local_mc.hpp"
 #include "persist/checkpoint.hpp"
 #include "protocols/paxos.hpp"
@@ -36,7 +37,7 @@ struct SplitMix64 {
 /// empty or not depending on the run — the container must handle both).
 Blob sample_checkpoint() {
   static Blob cached = [] {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(3));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(3));
     LocalMcOptions opt;
     opt.stop_on_confirmed = false;
     opt.time_budget_s = 60;
@@ -187,7 +188,7 @@ void expect_decode_rejects(const CheckerImage& img, const char* what, const char
 /// pending section holds the stopped generation's unapplied tail
 /// (sample_checkpoint() completes and has none).
 CheckerImage capped_image(std::uint64_t seed) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+  dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
   LocalMcOptions opt;
   opt.stop_on_confirmed = false;
   opt.max_transitions = 5;
@@ -327,7 +328,7 @@ TEST(CkptRobustness, LoadCheckpointBytesPropagatesErrors) {
   Blob data = sample_checkpoint();
   Blob bad = data;
   bad[bad.size() / 2] ^= 0x40;
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(3));
+  dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(3));
   LocalModelChecker mc(p.cfg, p.invariant.get(), {});
   EXPECT_THROW(mc.load_checkpoint_bytes(bad), CheckpointError);
   // A clean image still loads after the failed attempt.

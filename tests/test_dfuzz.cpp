@@ -1,43 +1,80 @@
-// Unit tests for the differential-fuzzing subsystem itself: the generator's
-// determinism and envelope guarantees, the ProtoSpec codec, the interpreter
-// node's semantics, the shrinker, and a hand-written regression for the
-// checker bug the fuzzer found (premature mid-run unsoundness verdicts).
+// Unit tests for the differential-fuzzing subsystem itself: the generators'
+// determinism, envelope guarantees and frozen output, the semantics of the
+// interpreter node generated specs run on (dsl::DslNode), the shrinker, and
+// a hand-written regression for the checker bug the fuzzer found (premature
+// mid-run unsoundness verdicts).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
 #include "dfuzz/shrink.hpp"
+#include "dsl/interp.hpp"
+#include "dsl/loader.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/state_machine.hpp"
 
 namespace lmc {
 namespace {
 
+/// A hand-written spec in .lmc text (the tests' way to build one).
+dsl::DslSpec spec_of(const char* text) {
+  dsl::LoadResult r = dsl::load_text(text, "hand.lmc");
+  EXPECT_TRUE(r.ok()) << r.diags.to_string();
+  return r.ok() ? *r.spec : dsl::DslSpec{};
+}
+
+std::vector<std::uint64_t> corpus_seeds() {
+  std::vector<std::uint64_t> s;
+  for (std::uint64_t i = 1; i <= 50; ++i) s.push_back(i);
+  s.push_back(97);
+  s.push_back(171);
+  s.push_back(664);
+  return s;
+}
+
 // --- generator -------------------------------------------------------------
 
 TEST(ProtoGen, SameSeedSameSpecSameBytes) {
   for (std::uint64_t seed : {1ull, 2ull, 42ull, 97ull, 664ull}) {
-    dfuzz::ProtoSpec a = dfuzz::generate_spec(seed);
-    dfuzz::ProtoSpec b = dfuzz::generate_spec(seed);
+    dsl::DslSpec a = dfuzz::generate_spec(seed);
+    dsl::DslSpec b = dfuzz::generate_spec(seed);
     EXPECT_EQ(a, b) << "seed " << seed;
-    Writer wa, wb;
-    a.serialize(wa);
-    b.serialize(wb);
-    EXPECT_EQ(std::move(wa).take(), std::move(wb).take()) << "seed " << seed;
+    EXPECT_EQ(dsl::to_lmc_text(a), dsl::to_lmc_text(b)) << "seed " << seed;
   }
   // And different seeds actually vary.
   EXPECT_NE(dfuzz::generate_spec(1), dfuzz::generate_spec(2));
 }
 
+// The generators are frozen: the corpus, CI sweeps and repro artifacts name
+// protocols by seed. The canonical text of both generators' output is
+// pinned, so any drift in an RNG draw, a name, a tag or a dropped shadowed
+// rule fails here rather than silently re-seeding every corpus.
+TEST(ProtoGen, GeneratedTextIsPinned) {
+  std::string plain, symmetric;
+  for (std::uint64_t seed : corpus_seeds()) plain += dsl::to_lmc_text(dfuzz::generate_spec(seed));
+  for (std::uint64_t seed = 1; seed <= 30; ++seed)
+    symmetric += dsl::to_lmc_text(dfuzz::generate_symmetric_spec(seed));
+  auto digest = [](const std::string& t) {
+    return hash_bytes(reinterpret_cast<const std::uint8_t*>(t.data()), t.size());
+  };
+  EXPECT_EQ(plain.size(), 27170u);
+  EXPECT_EQ(digest(plain), 0x05255e51378d3d10ull);
+  EXPECT_EQ(symmetric.size(), 16678u);
+  EXPECT_EQ(digest(symmetric), 0x4a2fc30307f2761dull);
+}
+
 TEST(ProtoGen, EverySeedValidAndEnvelopeRespected) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    dfuzz::ProtoSpec s = dfuzz::generate_spec(seed);
-    EXPECT_EQ(dfuzz::validate_spec(s), "") << "seed " << seed;
+    dsl::DslSpec s = dfuzz::generate_spec(seed);
+    EXPECT_EQ(dsl::validate(s), "") << "seed " << seed;
     // The completeness envelope: internal gotos never move backward, so no
     // rule can re-fire along a chain and regenerate message content
     // (regression for the seed-171 divergence class).
-    for (const dfuzz::InternalRule& r : s.internals)
+    for (const dsl::SpecInternalRule& r : s.internals)
       EXPECT_GE(r.action.goto_state, r.guard_state) << "seed " << seed;
     // The first internal rule is enabled in the initial system state.
     ASSERT_FALSE(s.internals.empty()) << "seed " << seed;
@@ -45,33 +82,29 @@ TEST(ProtoGen, EverySeedValidAndEnvelopeRespected) {
   }
 }
 
-TEST(ProtoGen, SpecSerializeRoundTrip) {
-  dfuzz::ProtoSpec s = dfuzz::generate_spec(97);
-  Writer w;
-  s.serialize(w);
-  Blob bytes = std::move(w).take();
-  Reader r(bytes);
-  EXPECT_EQ(dfuzz::ProtoSpec::deserialize(r), s);
-}
-
 TEST(ProtoGen, ValidateRejectsMalformedSpecs) {
-  dfuzz::ProtoSpec base = dfuzz::generate_spec(5);
-  ASSERT_EQ(dfuzz::validate_spec(base), "");
+  dsl::DslSpec base = dfuzz::generate_spec(5);
+  ASSERT_EQ(dsl::validate(base), "");
 
   auto broken = [&](auto mutate) {
-    dfuzz::ProtoSpec s = base;
+    dsl::DslSpec s = base;
     mutate(s);
-    return dfuzz::validate_spec(s);
+    return dsl::validate(s);
   };
   EXPECT_NE(broken([](auto& s) { s.num_nodes = 1; }), "");
-  EXPECT_NE(broken([](auto& s) { s.num_states = 1; }), "");
-  EXPECT_NE(broken([](auto& s) { s.invariant.state_a = 0; }), "");
-  EXPECT_NE(broken([](auto& s) { s.invariant.state_b = s.num_states; }), "");
+  EXPECT_NE(broken([](auto& s) { s.states.resize(1); }), "");
   EXPECT_NE(broken([](auto& s) {
-    s.internals[0].action.goto_state = s.num_states;  // out of range
+    s.invariants[0].a = {0};  // the all-initial system state violates it
+    s.invariants[0].b = {0};
   }), "");
   EXPECT_NE(broken([](auto& s) {
-    dfuzz::MsgRule r;
+    s.invariants[0].b = {static_cast<std::uint32_t>(s.states.size())};
+  }), "");
+  EXPECT_NE(broken([](auto& s) {
+    s.internals[0].action.goto_state = static_cast<std::uint32_t>(s.states.size());
+  }), "");
+  EXPECT_NE(broken([](auto& s) {
+    dsl::SpecMsgRule r;
     r.node = 0;
     r.type = 0;
     r.guard_state = 1;
@@ -81,8 +114,8 @@ TEST(ProtoGen, ValidateRejectsMalformedSpecs) {
   EXPECT_NE(broken([](auto& s) {
     s.internals.resize(33, s.internals[0]);  // fired bitmask is 32 bits
   }), "");
-  EXPECT_THROW(dfuzz::instantiate([&] {
-    dfuzz::ProtoSpec s = base;
+  EXPECT_THROW(dsl::instantiate([&] {
+    dsl::DslSpec s = base;
     s.num_nodes = 0;
     return s;
   }()), std::invalid_argument);
@@ -91,21 +124,17 @@ TEST(ProtoGen, ValidateRejectsMalformedSpecs) {
 // --- interpreter node ------------------------------------------------------
 
 /// 2 nodes, 3 states: node0 has one fire-once internal (stay at s0, send
-/// type0 tag5 to node1); node1 moves s0->s1 on type0 (a second, shadowed
-/// rule would move to s2 — first match must win) and s1->s2 on type0.
-dfuzz::ProtoSpec hand_spec() {
-  dfuzz::ProtoSpec s;
-  s.seed = 0;
-  s.num_nodes = 2;
-  s.num_states = 3;
-  s.num_msg_types = 2;
-  s.internals.push_back({0, 0, {0, {{1, 0, 5}}, false}});
-  s.msg_rules.push_back({1, 0, 0, {1, {}, false}});
-  s.msg_rules.push_back({1, 0, 0, {2, {}, false}});  // shadowed by the rule above
-  s.msg_rules.push_back({1, 0, 1, {2, {}, false}});
-  s.invariant = {1, 1, false};
-  return s;
-}
+/// m0 tag 5 to node1); node1 moves s0->s1 and s1->s2 on m0.
+const char* kHandSpec =
+    "protocol hand {\n"
+    "  nodes 2;\n"
+    "  states s0, s1, s2;\n"
+    "  messages m0, m1;\n"
+    "  internal r0 at 0 @ s0 -> s0 { send m0 to node 1 tag 5; }\n"
+    "  on m0 at 1 @ s0 -> s1;\n"
+    "  on m0 at 1 @ s1 -> s2;\n"
+    "  invariant mutex: never s1 with s1;\n"
+    "}\n";
 
 Message tagged(NodeId dst, std::uint32_t type, std::uint32_t tag) {
   Writer w;
@@ -114,10 +143,10 @@ Message tagged(NodeId dst, std::uint32_t type, std::uint32_t tag) {
 }
 
 TEST(GenNode, FireOnceInternalAndSends) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(hand_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(spec_of(kHandSpec));
   std::vector<Blob> init = initial_states(p.cfg);
-  EXPECT_EQ(dfuzz::gen_state_of(init[0]), 0u);
-  EXPECT_EQ(dfuzz::gen_state_of(init[1]), 0u);
+  EXPECT_EQ(dsl::dsl_state_of(init[0]), 0u);
+  EXPECT_EQ(dsl::dsl_state_of(init[1]), 0u);
 
   auto evs = internal_events_of(p.cfg, 0, init[0]);
   ASSERT_EQ(evs.size(), 1u);
@@ -125,8 +154,8 @@ TEST(GenNode, FireOnceInternalAndSends) {
 
   ExecResult r = exec_internal(p.cfg, 0, init[0], evs[0]);
   ASSERT_FALSE(r.assert_failed);
-  EXPECT_EQ(dfuzz::gen_state_of(r.state), 0u);  // the rule stays at s0...
-  EXPECT_NE(r.state, init[0]);                  // ...but the fired bit changed the blob
+  EXPECT_EQ(dsl::dsl_state_of(r.state), 0u);  // the rule stays at s0...
+  EXPECT_NE(r.state, init[0]);                // ...but the fired bit changed the blob
   ASSERT_EQ(r.sent.size(), 1u);
   EXPECT_EQ(r.sent[0].dst, 1u);
   EXPECT_EQ(r.sent[0].type, 0u);
@@ -134,38 +163,30 @@ TEST(GenNode, FireOnceInternalAndSends) {
   EXPECT_TRUE(internal_events_of(p.cfg, 0, r.state).empty());
 }
 
-TEST(GenNode, FirstMatchingRuleWins) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(hand_spec());
-  std::vector<Blob> init = initial_states(p.cfg);
-  ExecResult r = exec_message(p.cfg, 1, init[1], tagged(1, 0, 5));
-  ASSERT_FALSE(r.assert_failed);
-  EXPECT_EQ(dfuzz::gen_state_of(r.state), 1u);  // rule 0 (->s1), not rule 1 (->s2)
-}
-
 TEST(GenNode, UnmatchedDeliveryIsSilentNoOp) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(hand_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(spec_of(kHandSpec));
   std::vector<Blob> init = initial_states(p.cfg);
-  ExecResult r = exec_message(p.cfg, 1, init[1], tagged(1, 1, 9));  // no type-1 rule
+  ExecResult r = exec_message(p.cfg, 1, init[1], tagged(1, 1, 9));  // no m1 rule
   EXPECT_FALSE(r.assert_failed);
   EXPECT_EQ(r.state, init[1]);  // byte-identical: digest untouched on a drop
   EXPECT_TRUE(r.sent.empty());
 }
 
 TEST(GenNode, DigestSeparatesConsumedSetsButMergesReorderings) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(hand_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(spec_of(kHandSpec));
   std::vector<Blob> init = initial_states(p.cfg);
 
   // Same rule, same successor state number — different consumed message.
   Blob via5 = exec_message(p.cfg, 1, init[1], tagged(1, 0, 5)).state;
   Blob via6 = exec_message(p.cfg, 1, init[1], tagged(1, 0, 6)).state;
-  EXPECT_EQ(dfuzz::gen_state_of(via5), dfuzz::gen_state_of(via6));
+  EXPECT_EQ(dsl::dsl_state_of(via5), dsl::dsl_state_of(via6));
   EXPECT_NE(via5, via6);  // histories differ, so the blobs must not merge
 
   // Consuming {5,6} in either order lands on the SAME blob: the digest is
   // order-insensitive, so LMC's predecessor merging still gets exercised.
   Blob ab = exec_message(p.cfg, 1, via5, tagged(1, 0, 6)).state;
   Blob ba = exec_message(p.cfg, 1, via6, tagged(1, 0, 5)).state;
-  EXPECT_EQ(dfuzz::gen_state_of(ab), 2u);
+  EXPECT_EQ(dsl::dsl_state_of(ab), 2u);
   EXPECT_EQ(ab, ba);
 }
 
@@ -183,8 +204,8 @@ TEST(Shrink, MinimizesWhilePreservingFailureClass) {
   opt.soundness.max_schedules = 0;
   opt.soundness.quick_expansions = 0;
 
-  dfuzz::ProtoSpec spec = dfuzz::generate_spec(14);  // violation-bearing seed
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(spec);
+  dsl::DslSpec spec = dfuzz::generate_spec(14);  // violation-bearing seed
+  dsl::CompiledProtocol p = dsl::instantiate(spec);
   dfuzz::OracleReport rep = dfuzz::DiffOracle(opt).check(p.cfg, p.invariant.get());
   ASSERT_TRUE(rep.conclusive) << rep.detail;
   ASSERT_FALSE(rep.ok);
@@ -192,14 +213,14 @@ TEST(Shrink, MinimizesWhilePreservingFailureClass) {
 
   dfuzz::ShrinkResult res = dfuzz::shrink_spec(spec, rep.failure, opt);
   EXPECT_GT(res.attempts, 0u);
-  EXPECT_EQ(dfuzz::validate_spec(res.spec), "");
+  EXPECT_EQ(dsl::validate(res.spec), "");
   EXPECT_FALSE(res.report.ok);
   EXPECT_TRUE(res.report.conclusive);
   EXPECT_EQ(res.report.failure, dfuzz::OracleFailure::GmcViolationMissing);
   const std::size_t before = spec.internals.size() + spec.msg_rules.size();
   const std::size_t after = res.spec.internals.size() + res.spec.msg_rules.size();
   EXPECT_LE(after, before);
-  EXPECT_GT(res.removed, 0u);  // seed 3 carries rules irrelevant to the bug
+  EXPECT_GT(res.removed, 0u);  // seed 14 carries rules irrelevant to the bug
 }
 
 // Regression: node removal must reach MIDDLE nodes. The divergence here is
@@ -210,17 +231,18 @@ TEST(Shrink, MinimizesWhilePreservingFailureClass) {
 // bystanders in the artifact forever. The rewritten pass tries every node
 // and renumbers, so the artifact must land at exactly the two culprits.
 TEST(Shrink, RemovesMiddleBystanderNodes) {
-  dfuzz::ProtoSpec spec;
-  spec.seed = 0;
-  spec.num_nodes = 4;
-  spec.num_states = 2;
-  spec.num_msg_types = 1;
-  spec.internals.push_back({0, 0, {1, {}, false}});
-  spec.internals.push_back({3, 0, {1, {}, false}});
-  spec.internals.push_back({1, 0, {0, {{2, 0, 11}}, false}});
-  spec.internals.push_back({2, 0, {0, {{1, 0, 12}}, false}});
-  spec.invariant = {1, 1, false};
-  ASSERT_EQ(dfuzz::validate_spec(spec), "");
+  const dsl::DslSpec spec = spec_of(
+      "protocol bystanders {\n"
+      "  nodes 4;\n"
+      "  states s0, s1;\n"
+      "  messages m0;\n"
+      "  internal r0 at 0 @ s0 -> s1;\n"
+      "  internal r1 at 3 @ s0 -> s1;\n"
+      "  internal r2 at 1 @ s0 -> s0 { send m0 to node 2 tag 11; }\n"
+      "  internal r3 at 2 @ s0 -> s0 { send m0 to node 1 tag 12; }\n"
+      "  invariant mutex: never s1 with s1;\n"
+      "}\n");
+  ASSERT_EQ(dsl::validate(spec), "");
 
   dfuzz::OracleOptions opt;
   opt.check_resume = false;
@@ -228,7 +250,7 @@ TEST(Shrink, RemovesMiddleBystanderNodes) {
   opt.soundness.max_schedules = 0;  // cripple soundness: see test above
   opt.soundness.quick_expansions = 0;
 
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(spec);
+  dsl::CompiledProtocol p = dsl::instantiate(spec);
   dfuzz::OracleReport rep = dfuzz::DiffOracle(opt).check(p.cfg, p.invariant.get());
   ASSERT_TRUE(rep.conclusive) << rep.detail;
   ASSERT_EQ(rep.failure, dfuzz::OracleFailure::GmcViolationMissing) << rep.detail;
@@ -236,7 +258,7 @@ TEST(Shrink, RemovesMiddleBystanderNodes) {
   dfuzz::ShrinkResult res = dfuzz::shrink_spec(spec, rep.failure, opt);
   EXPECT_EQ(res.spec.num_nodes, 2u) << "bystander nodes 1 and 2 survived shrinking";
   EXPECT_EQ(res.spec.internals.size(), 2u);
-  EXPECT_EQ(dfuzz::validate_spec(res.spec), "");
+  EXPECT_EQ(dsl::validate(res.spec), "");
   EXPECT_TRUE(res.report.conclusive);
   EXPECT_EQ(res.report.failure, dfuzz::OracleFailure::GmcViolationMissing);
 }
@@ -296,7 +318,7 @@ class AtMostOneInS1 final : public Invariant {
   bool holds(const SystemConfig&, const SystemStateView& sys) const override {
     std::size_t in_s1 = 0;
     for (const Blob* b : sys)
-      if (dfuzz::gen_state_of(*b) == 1) ++in_s1;  // state is the leading u32
+      if (Reader(*b).u32() == 1) ++in_s1;  // state is the leading u32
     return in_s1 <= 1;
   }
 };

@@ -174,10 +174,42 @@ TEST(DslCompile, CanonicalTextReloadsToSameSpec) {
 TEST(DslValidate, RejectsProgrammaticEnvelopeBreaks) {
   LoadResult r = load_text(kPing, "ping.lmc");
   ASSERT_TRUE(r.ok());
-  DslSpec s = *r.spec;
-  s.msg_rules[0].action.goto_state = s.msg_rules[0].guard_state;  // not monotone
-  EXPECT_NE(validate(s), "");
-  EXPECT_THROW(instantiate(s), std::invalid_argument);
+  ASSERT_EQ(validate(*r.spec), "");
+  auto broken = [&](auto mutate) {
+    DslSpec s = *r.spec;
+    mutate(s);
+    EXPECT_THROW(instantiate(s), std::invalid_argument);
+    return validate(s);
+  };
+  auto has = [](const std::string& err, const char* code) {
+    return err.find(code) != std::string::npos;
+  };
+  EXPECT_NE(broken([](DslSpec& s) {
+    s.msg_rules[0].action.goto_state = s.msg_rules[0].guard_state;  // not monotone
+  }), "");
+  // The compiler's uniqueness rules hold for specs built in code too. Each
+  // duplicate drops its sends so only the rule under test can fire.
+  EXPECT_TRUE(has(broken([](DslSpec& s) {
+    SpecMsgRule dup = s.msg_rules[0];  // same node, message and guard
+    dup.action.sends.clear();
+    dup.action.goto_state = 2;
+    s.msg_rules.push_back(dup);
+  }), "DSL04"));
+  EXPECT_TRUE(has(broken([](DslSpec& s) {
+    SpecInternalRule dup = s.internals[0];  // label 'kick' again on node 0
+    dup.action.sends.clear();
+    s.internals.push_back(dup);
+  }), "DSL05"));
+  EXPECT_TRUE(has(broken([](DslSpec& s) {
+    std::vector<SpecSend>& sends = s.internals[0].action.sends;
+    sends.push_back(sends[0]);  // same source, destination, message and tag
+  }), "DSL07"));
+  EXPECT_TRUE(has(broken([](DslSpec& s) {
+    // Two 'sender' replies from one node with one tag, in different rules.
+    SpecMsgRule pong = s.msg_rules[0];
+    pong.type = 1;
+    s.msg_rules.push_back(pong);
+  }), "DSL07"));
 }
 
 TEST(DslInterp, StateDecodeAndInitialStates) {

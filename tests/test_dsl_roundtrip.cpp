@@ -1,9 +1,10 @@
-// ProtoGen <-> .lmc round-trip: the frozen 53-seed dfuzz corpus (1..50 plus
-// the historical regression seeds 97, 171, 664) must map through
-// from_proto -> to_lmc_text -> parse/compile -> to_proto back to the exact
-// same rule table, and the re-parsed protocol must explore identically —
-// byte-identical normalized LMC checkpoints at 1 and 8 threads. Also covers
-// the repro artifact writer that lmc_fuzz --out-dir goes through.
+// Generated specs <-> .lmc round-trip: the frozen 53-seed dfuzz corpus (1..50
+// plus the historical regression seeds 97, 171, 664) must map through
+// to_lmc_text -> parse/compile back to the exact same spec, and the
+// re-parsed protocol must explore identically — byte-identical normalized
+// LMC checkpoints at 1 and 8 threads. That is the claim a repro artifact
+// makes, so the artifact writer that lmc_fuzz --out-dir goes through is
+// covered here too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,10 +17,9 @@
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
 #include "dfuzz/shrink.hpp"
-#include "dsl/bridge.hpp"
+#include "dsl/interp.hpp"
 #include "dsl/loader.hpp"
 #include "mc/local_mc.hpp"
-#include "runtime/serialize.hpp"
 
 namespace lmc::dfuzz {
 namespace {
@@ -35,22 +35,15 @@ std::vector<std::uint64_t> corpus_seeds() {
   return seeds;
 }
 
-// Text round-trip through the bridge is the identity on the canonical rule
-// table (shadowed message rules — dead under first-match dispatch — are
-// pruned by from_proto; see drop_shadowed_rules).
-ProtoSpec roundtrip_through_lmc(const ProtoSpec& spec, const std::string& label) {
-  dsl::DslSpec lifted = dsl::from_proto(spec);
-  std::string text = dsl::to_lmc_text(lifted);
+dsl::DslSpec reparse(const dsl::DslSpec& spec, const std::string& label) {
+  std::string text = dsl::to_lmc_text(spec);
   dsl::LoadResult r = dsl::load_text(text, label + ".lmc");
   EXPECT_TRUE(r.ok()) << r.diags.to_string() << "\n--- emitted text ---\n" << text;
-  if (!r.ok()) return spec;
-  std::string err;
-  std::optional<ProtoSpec> back = dsl::to_proto(*r.spec, err);
-  EXPECT_TRUE(back.has_value()) << err;
-  return back ? *back : spec;
+  return r.ok() ? *r.spec : dsl::DslSpec{};
 }
 
-Blob lmc_checkpoint(const GeneratedProtocol& p, unsigned threads) {
+Blob lmc_checkpoint(const dsl::DslSpec& spec, unsigned threads) {
+  dsl::CompiledProtocol p = dsl::instantiate(spec);
   LocalMcOptions opt;
   opt.stop_on_confirmed = false;
   opt.num_threads = threads;
@@ -62,65 +55,68 @@ Blob lmc_checkpoint(const GeneratedProtocol& p, unsigned threads) {
 TEST(DslRoundTrip, FrozenCorpusIsTextRoundTrippable) {
   for (std::uint64_t seed : corpus_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ProtoSpec spec = generate_spec(seed);
-    ProtoSpec back = roundtrip_through_lmc(spec, "seed" + std::to_string(seed));
-    EXPECT_EQ(back, drop_shadowed_rules(spec));
-    // Canonicalization only ever prunes dead message rules.
-    EXPECT_LE(back.msg_rules.size(), spec.msg_rules.size());
-    EXPECT_EQ(back.internals, spec.internals);
+    dsl::DslSpec spec = generate_spec(seed);
+    dsl::DslSpec back = reparse(spec, "seed" + std::to_string(seed));
+    EXPECT_EQ(back, spec);
+    // Emission is a fixed point: emit(parse(emit(s))) == emit(s).
+    EXPECT_EQ(dsl::to_lmc_text(back), dsl::to_lmc_text(spec));
   }
 }
 
 TEST(DslRoundTrip, ReparsedSpecsExploreByteIdentically) {
   for (std::uint64_t seed : corpus_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ProtoSpec spec = generate_spec(seed);
-    ProtoSpec back = roundtrip_through_lmc(spec, "seed" + std::to_string(seed));
-    ASSERT_EQ(back, drop_shadowed_rules(spec));
-    // The pruned spec and the ORIGINAL (shadowed rules included) must
-    // explore identically — that is what makes the pruning sound.
-    GeneratedProtocol orig = instantiate(spec);
-    GeneratedProtocol reparsed = instantiate(back);
-    Blob base = lmc_checkpoint(orig, 1);
-    EXPECT_EQ(lmc_checkpoint(reparsed, 1), base);
-    EXPECT_EQ(lmc_checkpoint(orig, 8), base);
-    EXPECT_EQ(lmc_checkpoint(reparsed, 8), base);
+    dsl::DslSpec spec = generate_spec(seed);
+    dsl::DslSpec back = reparse(spec, "seed" + std::to_string(seed));
+    Blob base = lmc_checkpoint(spec, 1);
+    EXPECT_EQ(lmc_checkpoint(back, 1), base);
+    EXPECT_EQ(lmc_checkpoint(spec, 8), base);
+    EXPECT_EQ(lmc_checkpoint(back, 8), base);
   }
 }
 
-TEST(DslRoundTrip, ArtifactTripleIsWrittenAndLoadable) {
-  ProtoSpec spec = generate_spec(664);
+TEST(DslRoundTrip, ArtifactIsWrittenAndLoadable) {
   ShrinkResult shrunk;
-  shrunk.spec = spec;
+  shrunk.spec = generate_symmetric_spec(664);
   shrunk.report.ok = false;
   shrunk.report.failure = OracleFailure::MissingNodeState;
+  shrunk.report.detail = "node 1 state missing";
+  shrunk.report.lmc_confirmed = 2;
   shrunk.attempts = 3;
   shrunk.removed = 1;
+  OracleOptions opt;
+  opt.num_threads = 4;
+  opt.lmc_time_budget_s = 20;
+  opt.check_por = true;
 
   fs::path dir = fs::temp_directory_path() / "lmc_artifact_test" / "nested";
   fs::remove_all(dir.parent_path());
-  ArtifactPaths paths = write_repro_artifacts(dir.string(), 664, shrunk, spec);
+  const std::string path =
+      write_repro_artifact(dir.string(), 664, shrunk, opt, GenLimits{}, /*symmetric=*/true);
+  EXPECT_EQ(path, (dir / "dfuzz_repro_seed664.lmc").string());
 
-  // .bin deserializes to the shrunk spec (the lmc_fuzz --repro input).
-  std::ifstream bin(paths.bin, std::ios::binary);
-  ASSERT_TRUE(bin.good()) << paths.bin;
-  Blob bytes((std::istreambuf_iterator<char>(bin)), std::istreambuf_iterator<char>());
-  Reader rd(bytes);
-  EXPECT_EQ(ProtoSpec::deserialize(rd), spec);
+  // The header names the failure and both commands.
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::vector<std::string> header = {
+      "# seed: 664\n",
+      "# failure: missing-node-state\n",
+      "# detail: node 1 state missing\n",
+      "# shrink: removed 1 piece(s) in 3 oracle run(s)\n",
+      "# regenerate (unshrunk): lmc_fuzz --seed 664 --runs 1 --symmetric-specs\n",
+      "# replay: lmc_run " + path + " --oracle --no-scenarios --time-budget 20 --threads 4 --por\n",
+  };
+  for (const std::string& line : header)
+    EXPECT_NE(text.find(line), std::string::npos) << line << "--- artifact ---\n" << text;
 
-  // .txt mentions the original seed for provenance.
-  std::ifstream txt(paths.txt);
-  ASSERT_TRUE(txt.good()) << paths.txt;
-  std::string text((std::istreambuf_iterator<char>(txt)), std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("664"), std::string::npos);
-
-  // .lmc parses and lowers back to the same spec.
-  dsl::LoadResult r = dsl::load_file(paths.lmc);
+  // The body loads back to the shrunk spec, stamped with the observed
+  // expectation.
+  dsl::LoadResult r = dsl::load_file(path);
   ASSERT_TRUE(r.ok()) << r.diags.to_string();
-  std::string err;
-  std::optional<ProtoSpec> back = dsl::to_proto(*r.spec, err);
-  ASSERT_TRUE(back.has_value()) << err;
-  EXPECT_EQ(*back, drop_shadowed_rules(spec));
+  dsl::DslSpec expected = shrunk.spec;
+  expected.expect_violation = true;
+  EXPECT_EQ(*r.spec, expected);
 
   fs::remove_all(dir.parent_path());
 }

@@ -19,6 +19,7 @@
 
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
+#include "dsl/interp.hpp"
 #include "mc/local_mc.hpp"
 
 namespace lmc {
@@ -41,7 +42,7 @@ TEST(FuzzCorpus, AllSeedsConclusiveAndAgreeing) {
   std::uint64_t resumes = 0;
   std::uint64_t opt_runs = 0;
   for (std::uint64_t seed : corpus_seeds()) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.conclusive) << "seed " << seed << ": " << rep.detail;
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "
@@ -70,7 +71,7 @@ TEST(FuzzCorpus, AllSeedsConclusiveAndAgreeing) {
 TEST(FuzzCorpus, ThreadCountByteIdentical) {
   std::uint64_t total_confirmed = 0;
   for (std::uint64_t seed : corpus_seeds()) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     Blob base;
     std::size_t base_violations = 0;
     for (unsigned threads : {1u, 8u}) {
@@ -105,7 +106,7 @@ TEST(FuzzCorpus, ThreadCountByteIdentical) {
 TEST(FuzzCorpus, ThreadCountByteIdenticalWithSymmetry) {
   std::uint64_t active_runs = 0;
   for (std::uint64_t seed : corpus_seeds()) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     Blob base;
     for (unsigned threads : {1u, 8u}) {
       LocalMcOptions opt;

@@ -14,6 +14,7 @@
 
 #include "dfuzz/oracle.hpp"
 #include "dfuzz/protogen.hpp"
+#include "dsl/interp.hpp"
 #include "mc/local_mc.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/chrome.hpp"
@@ -255,7 +256,7 @@ TEST(ObsChecker, TreeRunTracedVsUntracedAndReport) {
 TEST(ObsCorpus, TracedByteIdenticalAndThreadPermutationStable) {
   std::uint64_t with_soundness = 0;
   for (std::uint64_t seed : corpus_seeds()) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     std::vector<obs::EventIdentity> base_ids;
     for (unsigned threads : {1u, 8u}) {
       LocalModelChecker plain(p.cfg, p.invariant.get(), corpus_options(threads, nullptr));
@@ -291,7 +292,7 @@ TEST(ObsCorpus, TracedByteIdenticalAndThreadPermutationStable) {
 // traces): the report sums the run totals over the run segments, so no
 // phase can exceed the summed elapsed time.
 TEST(ObsChecker, TwoRunsInOneSinkSumRunTotals) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(14));
+  dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(14));
   obs::TraceSink sink;
   LocalModelChecker a(p.cfg, p.invariant.get(), corpus_options(1, &sink));
   a.run_from_initial();
@@ -313,7 +314,7 @@ TEST(ObsChecker, TwoRunsInOneSinkSumRunTotals) {
 // --- checkpoint stats fields -----------------------------------------------
 
 Blob small_checkpoint() {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(5));
+  dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(5));
   LocalModelChecker mc(p.cfg, p.invariant.get(), corpus_options(1, nullptr));
   mc.run_from_initial();
   return mc.checkpoint_bytes();
@@ -438,7 +439,7 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
 // row a share of the summed run wall. Seed 171 drains 190 deferred
 // combinations in phase 2, so every row is non-trivial.
 TEST(ObsProf, MergedRunsPhaseRowsAreTheSummedStats) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(171));
+  dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(171));
   obs::ProfileSink prof;
   LocalMcStats sum = stats_fold_start();
   for (unsigned threads : {1u, 4u}) {
@@ -485,7 +486,7 @@ TEST(ObsProfCorpus, IdentityByteIdentical1v8AndCheckpointUnperturbed) {
 
   std::uint64_t with_handler_runs = 0;
   for (std::uint64_t seed : slice) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
 
     LocalModelChecker plain(p.cfg, p.invariant.get(), corpus_options(1, nullptr));
     plain.run_from_initial();

@@ -98,6 +98,16 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
   EXPECT_EQ(s, back);
 }
 
+/// on_period hook asserting a period's search was never cut by the clock:
+/// it exhausted its bounds, stopped on the transition cap, or stopped on a
+/// confirmed violation (below the cap, with `completed` false).
+std::function<void(const CrystalBallPeriod&)> expect_no_clock_stop(std::uint64_t cap) {
+  return [cap](const CrystalBallPeriod& p) {
+    EXPECT_TRUE(p.stats.completed || p.transitions >= cap || p.found)
+        << "period " << p.index << " stopped after " << p.transitions << " transitions";
+  };
+}
+
 TEST(CrystalBall, FindsWidsBugOnline) {
   // §5.5 end-to-end: live buggy Paxos + periodic LMC restarts. The paper
   // detected the bug after 1150 s of live time; we assert detection within
@@ -107,17 +117,22 @@ TEST(CrystalBall, FindsWidsBugOnline) {
   auto inv = paxos::make_agreement_invariant();
   LiveRunner live(live_cfg, live_opts(1), first_enabled_driver());
 
+  // A fixed transition cap per period instead of a wall-clock budget, so
+  // the detecting period does not depend on machine speed.
+  constexpr std::uint64_t kCap = 100'000;
   CrystalBallOptions opt;
   opt.period = 60;
   opt.max_live_time = 3600;
   opt.mc.max_total_depth = 16;
   opt.mc.use_projection = true;
-  opt.mc.time_budget_s = 10;
+  opt.mc.max_transitions = kCap;
+  opt.on_period = expect_no_clock_stop(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   CrystalBallResult res = cb.run();
 
   ASSERT_TRUE(res.found) << "WiDS bug must surface within an hour of live time";
-  EXPECT_GT(res.live_time, 0.0);
+  EXPECT_EQ(res.runs, 2);
+  EXPECT_EQ(res.live_time, 120.0);
   EXPECT_TRUE(res.violation.confirmed);
   EXPECT_FALSE(res.violation.witness.empty());
 }
@@ -169,15 +184,6 @@ TEST(CrystalBall, WarmStartFindsWidsBugWithFewerTransitions) {
   EXPECT_TRUE(rep.ok) << rep.error;
 }
 
-/// on_period hook asserting a period's search was never cut by the clock:
-/// it either exhausted its bounds or stopped on the transition cap.
-std::function<void(const CrystalBallPeriod&)> expect_completed_or_capped(std::uint64_t cap) {
-  return [cap](const CrystalBallPeriod& p) {
-    EXPECT_TRUE(p.stats.completed || p.transitions >= cap)
-        << "period " << p.index << " stopped after " << p.transitions << " transitions";
-  };
-}
-
 TEST(CrystalBall, CleanOnCorrectPaxos) {
   SystemConfig live_cfg = live_paxos_cfg(false);
   SystemConfig mc_cfg = checker_paxos_cfg(false);
@@ -193,7 +199,7 @@ TEST(CrystalBall, CleanOnCorrectPaxos) {
   opt.mc.max_total_depth = 14;
   opt.mc.use_projection = true;
   opt.mc.max_transitions = kCap;
-  opt.on_period = expect_completed_or_capped(kCap);
+  opt.on_period = expect_no_clock_stop(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   CrystalBallResult res = cb.run();
   EXPECT_FALSE(res.found);
@@ -217,15 +223,19 @@ TEST(CrystalBall, FindsPlusPlusBugIn1Paxos) {
   LiveOptions lo = live_opts(2);
   LiveRunner live(live_cfg, lo, fault_injecting_driver(0.1, onepaxos::kEvSuspectLeader));
 
+  constexpr std::uint64_t kCap = 100'000;  // per period; see FindsWidsBugOnline
   CrystalBallOptions opt;
   opt.period = 60;
   opt.max_live_time = 3600;
   opt.mc.max_total_depth = 12;
   opt.mc.use_projection = true;
-  opt.mc.time_budget_s = 10;
+  opt.mc.max_transitions = kCap;
+  opt.on_period = expect_no_clock_stop(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   CrystalBallResult res = cb.run();
   ASSERT_TRUE(res.found) << "1Paxos ++ bug must surface within an hour of live time";
+  EXPECT_EQ(res.runs, 12);
+  EXPECT_EQ(res.live_time, 720.0);
   EXPECT_TRUE(res.violation.confirmed);
 }
 
@@ -247,7 +257,7 @@ TEST(CrystalBall, NoBugIn1PaxosWithoutInjection) {
   opt.mc.max_total_depth = 10;
   opt.mc.use_projection = true;
   opt.mc.max_transitions = kCap;
-  opt.on_period = expect_completed_or_capped(kCap);
+  opt.on_period = expect_no_clock_stop(kCap);
   CrystalBall cb(mc_cfg, inv.get(), live, opt);
   EXPECT_FALSE(cb.run().found);
 }

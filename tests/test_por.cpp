@@ -60,7 +60,7 @@ TEST(PorDifferential, FrozenCorpusConfirmedSetsIdentical) {
 
   std::uint64_t por_checked = 0, pruned = 0, audits = 0;
   for (std::uint64_t seed : seeds) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.conclusive) << "seed " << seed << ": " << rep.detail;
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "
@@ -84,7 +84,7 @@ TEST(PorDifferential, SymmetricGeneratorComposesWithSymmetry) {
 
   std::uint64_t por_checked = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_symmetric_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_symmetric_spec(seed));
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.conclusive) << "seed " << seed << ": " << rep.detail;
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "

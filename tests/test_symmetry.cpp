@@ -263,23 +263,29 @@ TEST(CanonicalizerTest, EnumerationWalksExactlyTheRealizableMultisets) {
 
 // --- checker integration ----------------------------------------------------
 
+dsl::DslSpec spec_of(const char* text) {
+  dsl::LoadResult r = dsl::load_text(text, "hand.lmc");
+  EXPECT_TRUE(r.ok()) << r.diags.to_string();
+  return r.ok() ? *r.spec : dsl::DslSpec{};
+}
+
 // Two structurally different nodes: kAuto must resolve to INACTIVE and the
 // run must be byte-for-byte the plain run (the checkpoint then has no
 // symmetry section, so normalized bytes compare equal across modes).
-dfuzz::ProtoSpec asymmetric_spec() {
-  dfuzz::ProtoSpec s;
-  s.seed = 1;
-  s.num_nodes = 2;
-  s.num_states = 3;
-  s.num_msg_types = 1;
-  s.internals.push_back({0, 0, {1, {{1, 0, 5}}, false}});
-  s.msg_rules.push_back({1, 0, 0, {2, {}, false}});
-  s.invariant = {1, 2, false};
-  return s;
+dsl::DslSpec asymmetric_spec() {
+  return spec_of(
+      "protocol asym {\n"
+      "  nodes 2;\n"
+      "  states s0, s1, s2;\n"
+      "  messages m0;\n"
+      "  internal r0 at 0 @ s0 -> s1 { send m0 to node 1 tag 5; }\n"
+      "  on m0 at 1 @ s0 -> s2;\n"
+      "  invariant mutex: never s1 with s2;\n"
+      "}\n");
 }
 
 TEST(SymmetryChecker, AsymmetricProtocolIsAByteIdenticalNoOp) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(asymmetric_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(asymmetric_spec());
   EXPECT_TRUE(p.cfg.symmetric_roles.empty());
 
   LocalMcOptions off;
@@ -302,20 +308,20 @@ TEST(SymmetryChecker, AsymmetricProtocolIsAByteIdenticalNoOp) {
 // node 2 pokes node 0, node 1 does not. The reduction must still confirm
 // exactly the unreduced violations (up to the permutation the wrong hint
 // claims) — hints steer enumeration, soundness never depends on them.
-dfuzz::ProtoSpec wrong_hint_spec() {
-  dfuzz::ProtoSpec s;
-  s.seed = 2;
-  s.num_nodes = 3;
-  s.num_states = 2;
-  s.num_msg_types = 1;
-  s.internals.push_back({1, 0, {1, {}, false}});
-  s.internals.push_back({2, 0, {1, {{0, 0, 9}}, false}});
-  s.invariant = {1, 1, false};  // two distinct nodes in s1
-  return s;
+dsl::DslSpec wrong_hint_spec() {
+  return spec_of(
+      "protocol wrong_hint {\n"
+      "  nodes 3;\n"
+      "  states s0, s1;\n"
+      "  messages m0;\n"
+      "  internal r0 at 1 @ s0 -> s1;\n"
+      "  internal r1 at 2 @ s0 -> s1 { send m0 to node 0 tag 9; }\n"
+      "  invariant mutex: never s1 with s1;  # two distinct nodes in s1\n"
+      "}\n");
 }
 
 TEST(SymmetryChecker, WrongExplicitHintIsStillSound) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(wrong_hint_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(wrong_hint_spec());
 
   LocalMcOptions off;
   off.stop_on_confirmed = false;
@@ -344,7 +350,7 @@ TEST(SymmetryChecker, WrongExplicitHintIsStillSound) {
 }
 
 TEST(SymmetryChecker, MalformedExplicitClassesThrow) {
-  dfuzz::GeneratedProtocol p = dfuzz::instantiate(wrong_hint_spec());
+  dsl::CompiledProtocol p = dsl::instantiate(wrong_hint_spec());
   LocalMcOptions opt;
   opt.symmetry.mode = SymmetryMode::kExplicit;
   opt.symmetry.classes = {{0, 1}, {1, 2}};  // overlapping
@@ -358,7 +364,7 @@ TEST(SymmetryChecker, ReductionShrinksExploredCombinationsOnSymmetricSpecs) {
   // for by the represented-arrangements counter.
   std::size_t reduced_runs = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_symmetric_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_symmetric_spec(seed));
     LocalMcOptions off;
     off.stop_on_confirmed = false;
     LocalModelChecker a(p.cfg, p.invariant.get(), off);
@@ -395,7 +401,7 @@ TEST(SymmetryDifferential, FrozenCorpusAgreesUpToPermutation) {
 
   std::uint64_t sym_checked = 0;
   for (std::uint64_t seed : seeds) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_spec(seed));
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.conclusive) << "seed " << seed << ": " << rep.detail;
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "
@@ -414,9 +420,9 @@ TEST(SymmetryDifferential, SymmetricGeneratorSweepAgreesUpToPermutation) {
 
   std::uint64_t sym_checked = 0, with_violations = 0, orbits = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    dfuzz::ProtoSpec spec = dfuzz::generate_symmetric_spec(seed);
-    ASSERT_EQ(dfuzz::validate_spec(spec), "") << "seed " << seed;
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(spec);
+    dsl::DslSpec spec = dfuzz::generate_symmetric_spec(seed);
+    ASSERT_EQ(dsl::validate(spec), "") << "seed " << seed;
+    dsl::CompiledProtocol p = dsl::instantiate(spec);
     dfuzz::OracleReport rep = oracle.check(p.cfg, p.invariant.get());
     ASSERT_TRUE(rep.conclusive) << "seed " << seed << ": " << rep.detail;
     ASSERT_TRUE(rep.ok) << "seed " << seed << ": [" << dfuzz::to_string(rep.failure) << "] "
@@ -441,7 +447,7 @@ std::string scratch_path(const char* tag) {
 TEST(SymmetryResume, InterruptedRunResumesByteIdentically) {
   // Find a symmetric seed with enough transitions to interrupt mid-way.
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_symmetric_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_symmetric_spec(seed));
     LocalMcOptions opt;
     opt.stop_on_confirmed = false;
     opt.symmetry.mode = SymmetryMode::kAuto;
@@ -471,7 +477,7 @@ TEST(SymmetryResume, InterruptedRunResumesByteIdentically) {
 
 TEST(SymmetryResume, ModeMismatchOnLoadThrows) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_symmetric_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_symmetric_spec(seed));
     LocalMcOptions on;
     on.stop_on_confirmed = false;
     on.symmetry.mode = SymmetryMode::kAuto;
@@ -502,7 +508,7 @@ TEST(SymmetryResume, ModeMismatchOnLoadThrows) {
 
 TEST(SymmetryResume, InspectSummarizesSymmetrySection) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    dfuzz::GeneratedProtocol p = dfuzz::instantiate(dfuzz::generate_symmetric_spec(seed));
+    dsl::CompiledProtocol p = dsl::instantiate(dfuzz::generate_symmetric_spec(seed));
     LocalMcOptions on;
     on.stop_on_confirmed = false;
     on.symmetry.mode = SymmetryMode::kAuto;
