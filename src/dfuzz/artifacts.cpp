@@ -34,10 +34,12 @@ std::string write_repro_artifact(const std::string& dir, std::uint64_t seed,
     if (c == '\n') c = ' ';  // one comment line
 
   dsl::DslSpec spec = shrunk.spec;
-  // Record what the oracle run actually observed, so the replay exits 0
-  // when the repro behaves as captured (a confirmed violation is the
-  // expected outcome for most shrunk disagreements, not a failure).
-  spec.expect_violation = shrunk.report.lmc_confirmed > 0;
+  // Expect what the reference checker found, so the replay exits 0 once the
+  // checker agrees with it (a violation is the expected outcome for most
+  // shrunk disagreements, not a failure). The disagreeing checker's own
+  // count would be wrong when it missed a violation the global search
+  // found.
+  spec.expect_violation = shrunk.report.gmc_violation_tuples > 0;
 
   std::ofstream out(path, std::ios::binary);
   out << "# lmc_fuzz disagreement\n"

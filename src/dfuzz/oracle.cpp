@@ -126,6 +126,18 @@ OracleReport DiffOracle::check(const SystemConfig& cfg, const Invariant* invaria
     rep.detail = "global baseline hit a budget; no verdict";
     return rep;
   }
+  // Deduplicate global violations by system tuple (many global states —
+  // differing only in the network — project to one violating tuple). The
+  // count is the reference verdict, so it is recorded before LMC runs: a
+  // report that fails early carries it too.
+  std::unordered_map<Hash64, std::vector<Hash64>> gmc_viol;
+  for (const GlobalViolation& v : g.violations()) {
+    std::vector<Hash64> tuple;
+    tuple.reserve(v.system_state.size());
+    for (const Blob& b : v.system_state) tuple.push_back(hash_blob(b));
+    gmc_viol.emplace(tuple_hash(tuple), std::move(tuple));
+  }
+  rep.gmc_violation_tuples = gmc_viol.size();
 
   // --- subject: LMC on the GEN path -----------------------------------------
   LocalMcOptions lopt;
@@ -177,17 +189,6 @@ OracleReport DiffOracle::check(const SystemConfig& cfg, const Invariant* invaria
 
   // --- violation-set comparison ---------------------------------------------
   if (invariant != nullptr) {
-    // Deduplicate global violations by system tuple (many global states —
-    // differing only in the network — project to one violating tuple).
-    std::unordered_map<Hash64, std::vector<Hash64>> gmc_viol;
-    for (const GlobalViolation& v : g.violations()) {
-      std::vector<Hash64> tuple;
-      tuple.reserve(v.system_state.size());
-      for (const Blob& b : v.system_state) tuple.push_back(hash_blob(b));
-      gmc_viol.emplace(tuple_hash(tuple), std::move(tuple));
-    }
-    rep.gmc_violation_tuples = gmc_viol.size();
-
     std::unordered_set<Hash64> lmc_confirmed;
     for (const LocalViolation& v : l.violations())
       if (v.confirmed) lmc_confirmed.insert(tuple_hash(v.state_hashes));

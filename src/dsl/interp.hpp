@@ -2,15 +2,15 @@
 // LocalMc, GlobalMc, DiffOracle and the ModelValidityAuditor work on .lmc
 // protocols unchanged.
 //
-// The node state is the same compact triple dfuzz uses — (state, fired
-// bitmask, delivery digest) — and it is serialization-complete: everything a
-// handler's behaviour can depend on (current state, which fire-once rules
-// ran, which messages were consumed) is in the blob, so equal blobs really
-// are interchangeable under re-execution. The digest folds the FULL message
-// identity (src included): with sender-relative replies two deliveries that
-// differ only in their sender produce different successor blobs, keeping the
-// delivery history a function of the state (the seed-664 lesson — states
-// reachable via different histories must not alias).
+// The node state is a compact triple (state, fired bitmask, delivery digest),
+// and it is serialization-complete: everything a handler's behaviour can depend
+// on (current state, which fire-once rules ran, which messages were consumed)
+// is in the blob, so equal blobs really are interchangeable under re-execution.
+// The digest folds the FULL message identity (src included): with
+// sender-relative replies two deliveries that differ only in their sender
+// produce different successor blobs, keeping the delivery history a function of
+// the state (the seed-664 lesson — states reachable via different histories
+// must not alias).
 #pragma once
 
 #include <memory>

@@ -23,6 +23,9 @@ using obs::TraceEvent;
 /// Upper bound on the deferred soundness queue; each combination past it
 /// counts in stats.deferred_dropped.
 constexpr std::size_t kMaxDeferred = std::size_t{1} << 20;
+/// Jobs verified per fan-out. Outcome slots live per chunk, so the memory of
+/// a verification phase does not grow with the deferred queue.
+constexpr std::size_t kVerifyChunk = 4096;
 
 /// Phase-1 tasks one pool fan-out executes before the applier applies them,
 /// when the run has more than one lane. Chosen by lmcbench `check_s_par`
@@ -98,8 +101,8 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   por_fwd_.assign(cfg_.num_nodes, {});
   por_deferred_.clear();
   por_audit_ctr_ = 0;
-  clear_feas_cache();
   deferred_.clear();
+  engine_.reset();
   pending_tasks_.clear();
   stats_ = LocalMcStats{};
   violations_.clear();
@@ -554,7 +557,8 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   for (const Message& m : e.result.sent) {
     Hash64 h = m.hash();
     gen.push_back(h);
-    node_gens_[e.node].insert(h);
+    if (node_gens_[e.node].insert(h).second && engine_ != nullptr)
+      engine_->note_generated(e.node, h);
     if (net_.add(m)) {
       EventRecord er;
       er.is_message = true;
@@ -745,40 +749,10 @@ void LocalModelChecker::pool_run(std::size_t n, const std::function<void(std::si
   }
 }
 
-void LocalModelChecker::clear_feas_cache() {
-  for (FeasStripe& s : feas_cache_) s.map.clear();
-}
-
-bool LocalModelChecker::member_feasible(NodeId n, std::uint32_t idx) {
-  // Signature: the verdict only changes when what the OTHER nodes can
-  // generate grows (or a new path to idx appears — approximated by the
-  // node's pred-edge growth being reflected in its own gens; conservative
-  // refreshes on any growth of the key below keep this sound). During a
-  // parallel verification phase the inputs are frozen, so concurrent
-  // callers of the same key race only on who computes the identical
-  // verdict; the striped locks protect the map, not the answer.
-  std::uint64_t sig = start_.in_flight_hashes.size();
-  for (NodeId m = 0; m < cfg_.num_nodes; ++m)
-    sig += (m == n) ? pred_edges_[n] : node_gens_[m].size();
-  const std::uint64_t key = (static_cast<std::uint64_t>(n) << 32) | idx;
-  FeasStripe& stripe = feas_cache_[key % kFeasStripes];
-  {
-    std::lock_guard<std::mutex> lk(stripe.mu);
-    auto it = stripe.map.find(key);
-    if (it != stripe.map.end() && (it->second.feasible || it->second.sig == sig))
-      return it->second.feasible;
-  }
-
-  std::unordered_set<Hash64> other_avail;
-  for (NodeId m = 0; m < cfg_.num_nodes; ++m)
-    if (m != n) other_avail.insert(node_gens_[m].begin(), node_gens_[m].end());
-  SoundnessVerifier verifier(store_, start_.in_flight_hashes, opt_.soundness);
-  const bool feasible = verifier.target_feasible(n, idx, other_avail);
-  {
-    std::lock_guard<std::mutex> lk(stripe.mu);
-    stripe.map[key] = FeasEntry{feasible, sig};
-  }
-  return feasible;
+bool LocalModelChecker::members_feasible(const std::vector<std::uint32_t>& combo) {
+  for (NodeId k = 0; k < cfg_.num_nodes; ++k)
+    if (combo[k] != kFreeNode && !engine_->feasible(k, combo[k])) return false;
+  return true;
 }
 
 void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) {
@@ -800,15 +774,26 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     std::uint64_t calls = 1;
     std::uint64_t tried = 0;  ///< symmetry jobs: concrete assignments expanded
   };
-  std::vector<Outcome> out(jobs.size());
+  std::vector<Outcome> out;
   obs::TraceSink* const tsink = opt_.trace;
   const obs::Phase tphase = phase2 ? obs::Phase::kDrain : obs::Phase::kSoundness;
   const double wall_t0 = now_s();
+  const SoundnessOptions& so = opt_.soundness;
+  const bool quick = !phase2 && so.quick_expansions != 0;
+  const std::uint64_t cap = quick ? std::min(so.max_schedules, so.quick_expansions)
+                                  : so.max_schedules;
+  // The store stays frozen until this phase returns: bring the engine up to
+  // date once, on this thread. A segment's first verification creates it.
+  if (engine_ == nullptr) {
+    engine_ = std::make_unique<SoundnessEngine>(store_, start_.in_flight_hashes);
+    for (NodeId n = 0; n < cfg_.num_nodes; ++n)
+      for (Hash64 h : node_gens_[n]) engine_->note_generated(n, h);
+  }
+  for (NodeId n = 0; n < cfg_.num_nodes; ++n) engine_->sync(n, pred_edges_[n]);
 
-  // Fan out: every job is verified independently against the frozen stores
-  // by its own SoundnessVerifier instance; outcomes land in per-job slots.
-  pool_run(jobs.size(), [&](std::size_t i) {
-    Outcome& o = out[i];
+  // Fan out: every job is verified independently against the frozen stores;
+  // outcomes land in per-job slots of the current chunk.
+  auto verify_job = [&](std::size_t i, Outcome& o) {
     if (hard_budget_exceeded()) return;  // stays Skipped
     const Deferred& d = jobs[i];
     if (d.sym && canon_ != nullptr) {
@@ -836,14 +821,12 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
           return false;
         }
         ++tried;
-        for (NodeId k = 0; k < cfg_.num_nodes; ++k)
-          if (!member_feasible(k, combo[k])) {
-            ++feas_skipped;
-            return true;  // next assignment
-          }
+        if (!members_feasible(combo)) {
+          ++feas_skipped;
+          return true;  // next assignment
+        }
         const double t0 = now_s();
-        SoundnessVerifier verifier(store_, start_.in_flight_hashes, opt_.soundness);
-        SoundnessResult res = verifier.verify(combo, nullptr);
+        SoundnessResult res = engine_->verify(combo, so.max_schedules);
         secs += now_s() - t0;
         ++calls;
         seqs += res.schedules_checked;
@@ -893,19 +876,12 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
     // the bulk of the preliminary violations near a bug, cf. §5.4). Runs
     // in both phases: during exploration it spares the quick search, in
     // the final drain it is conclusive against the frozen store.
-    for (NodeId k = 0; k < cfg_.num_nodes; ++k) {
-      if (d.has_mask && !d.fixed[k]) continue;
-      if (!member_feasible(k, d.combo[k])) {
-        o.kind = Kind::FeasSkip;
-        return;
-      }
+    if (!members_feasible(d.combo)) {
+      o.kind = Kind::FeasSkip;
+      return;
     }
-    SoundnessOptions so = opt_.soundness;
-    const bool quick = !phase2 && so.quick_expansions != 0;
-    if (quick) so.max_schedules = std::min(so.max_schedules, so.quick_expansions);
     const double t0 = now_s();
-    SoundnessVerifier verifier(store_, start_.in_flight_hashes, so);
-    o.res = verifier.verify(d.combo, d.has_mask ? &d.fixed : nullptr);
+    o.res = engine_->verify(d.combo, cap);
     o.secs = now_s() - t0;
     o.kind = o.res.sound ? Kind::Sound
                          : (quick && o.res.truncated ? Kind::Defer : Kind::Unsound);
@@ -913,21 +889,20 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       tsink->record_worker(tev(EventType::kSoundnessRun, tphase, cur_round_,
                                static_cast<std::uint64_t>(o.kind), 0, phase2 ? 1 : 0, o.secs,
                                TraceEvent::kNoNode, i));
-  });
-  if (tsink != nullptr) tsink->drain_workers();
+  };
 
   // Deterministic merge in enumeration/queue order: counters, the deferred
   // queue and confirmed violations come out identical for any thread count.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  // Returns false once the merge must stop.
+  auto merge_job = [&](std::size_t i, Outcome& o) -> bool {
     if (stop_) {
-      if (phase2 && i < jobs.size()) stats_.completed = false;  // partial drain
-      break;
+      if (phase2) stats_.completed = false;  // partial drain
+      return false;
     }
-    Outcome& o = out[i];
     if (o.kind == Kind::Skipped) {  // wall-clock budget / cancel hit
       stats_.completed = false;
       if (!phase2) stop_ = true;
-      break;
+      return false;
     }
     if (phase2)
       ++stats_.deferred_processed;
@@ -959,11 +934,11 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
       verdict_ev(0.0);
       if (!phase2) {
         defer(std::move(jobs[i]));
-        continue;
+        return true;
       }
       ++stats_.unsound_violations;
       ++stats_.feasibility_skips;
-      continue;
+      return true;
     }
     stats_.soundness_calls += o.calls;
     stats_.soundness_s += o.secs;
@@ -988,6 +963,27 @@ void LocalModelChecker::verify_prelims(std::vector<Deferred> jobs, bool phase2) 
         ++stats_.unsound_violations;
         break;
     }
+    return true;
+  };
+
+  bool merging = true;
+  for (std::size_t base = 0; merging && base < jobs.size(); base += kVerifyChunk) {
+    if (stop_) {  // stopped by an earlier chunk: leave the rest unverified
+      if (phase2) stats_.completed = false;  // partial drain
+      break;
+    }
+    const std::size_t n = std::min(kVerifyChunk, jobs.size() - base);
+    // Build every closure and member verdict the chunk's plain jobs read on
+    // this thread, so the workers only read. Symmetry jobs pick their
+    // assignments in the worker and build what they miss under the
+    // engine's lock.
+    for (std::size_t i = base; i < base + n; ++i)
+      if (!(jobs[i].sym && canon_ != nullptr) && members_feasible(jobs[i].combo))
+        engine_->prepare(jobs[i].combo);
+    out.assign(n, Outcome{});
+    pool_run(n, [&](std::size_t j) { verify_job(base + j, out[j]); });
+    if (tsink != nullptr) tsink->drain_workers();
+    for (std::size_t j = 0; merging && j < n; ++j) merging = merge_job(base + j, out[j]);
   }
 
   // Wall seconds of the whole phase, as seen by this (merging) thread — the
@@ -1200,15 +1196,12 @@ void LocalModelChecker::sweep_opt(NodeId n, std::uint32_t idx, std::vector<Defer
 
   auto emit = [&](NodeId m, std::uint32_t j, bool pair) {
     Deferred d;
-    d.combo.assign(cfg_.num_nodes, 0);
+    d.combo.assign(cfg_.num_nodes, kFreeNode);
     d.combo[n] = idx;
-    d.fixed.assign(cfg_.num_nodes, false);
-    d.fixed[n] = true;
     d.has_mask = true;
     std::uint64_t depth_sum = store_.rec(n, idx).depth;
     if (pair) {
       d.combo[m] = j;
-      d.fixed[m] = true;
       depth_sum += store_.rec(m, j).depth;
     }
     if (depth_sum > opt_.max_total_depth) return;
@@ -1517,6 +1510,7 @@ void LocalModelChecker::explore_stream() {
   }
   // Phase 2: re-verify the combinations the quick pass could not decide.
   if (!stop_) process_deferred();
+  engine_.reset();  // the segment's verifications are over: free the closures
   if (stop_ && !violations_.empty()) stats_.completed = false;
   finalize_stats();
   run_end_ev();
@@ -1575,7 +1569,13 @@ CheckerImage LocalModelChecker::make_image() const {
   for (const Deferred& d : deferred_) {
     DeferredCombo dc;
     dc.combo = d.combo;
-    dc.fixed.assign(d.fixed.begin(), d.fixed.end());
+    if (d.has_mask) {
+      dc.fixed.resize(d.combo.size());
+      for (std::size_t k = 0; k < d.combo.size(); ++k) {
+        dc.fixed[k] = d.combo[k] != kFreeNode ? 1 : 0;
+        if (d.combo[k] == kFreeNode) dc.combo[k] = 0;
+      }
+    }
     dc.has_mask = d.has_mask;
     dc.sym = d.sym;
     img.deferred.push_back(std::move(dc));
@@ -1644,9 +1644,11 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   for (const DeferredCombo& dc : img.deferred) {
     Deferred d;
     d.combo = dc.combo;
-    d.fixed.assign(dc.fixed.begin(), dc.fixed.end());
     d.has_mask = dc.has_mask;
     d.sym = dc.sym;
+    if (d.has_mask)
+      for (std::size_t k = 0; k < dc.fixed.size(); ++k)
+        if (dc.fixed[k] == 0) d.combo[k] = kFreeNode;
     deferred_.push_back(std::move(d));
   }
   violations_ = std::move(img.violations);
@@ -1722,7 +1724,7 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
   // The resolves above reset the reduction stats; the file's are the run's.
   stats_.sym = img.stats.sym;
   stats_.por = img.stats.por;
-  clear_feas_cache();
+  engine_.reset();
   combo_probe_ = 0;
   // Trace continuity across resumes: rounds continue from the checkpoint's
   // counter, and the segment id is restored as-is (run_resumed bumps it for

@@ -26,13 +26,11 @@
 //  * LMC-OPT-system-state: enable_soundness = false (Fig. 13).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -327,18 +325,22 @@ class LocalModelChecker {
   /// Project state idx of node n into proj_index_ (when indexing).
   void index_state(NodeId n, std::uint32_t idx);
 
-  bool member_feasible(NodeId n, std::uint32_t idx);
+  /// The per-member feasibility pre-check over the fixed members of
+  /// `combo`, in node order (see SoundnessEngine::feasible).
+  bool members_feasible(const std::vector<std::uint32_t>& combo);
   void record_confirmed(const std::vector<std::uint32_t>& combo, SoundnessResult res);
   void process_deferred();
 
   /// A combination awaiting (or deferred for) soundness verification —
-  /// also the work item of the parallel verification phases. `sym` marks an
-  /// orbit representative from the symmetry sweep: the phase-2 drain
+  /// also the work item of the parallel verification phases. An LMC-OPT
+  /// job pins only the nodes its projections name: the others hold
+  /// kFreeNode, and `has_mask` is set (the checkpoint stores the pinned
+  /// nodes as a mask beside a combo holding 0 at the free ones). `sym` marks
+  /// an orbit representative from the symmetry sweep: the phase-2 drain
   /// expands all concrete member assignments of its orbit and confirms the
   /// first sound one (de-canonicalization).
   struct Deferred {
     std::vector<std::uint32_t> combo;
-    std::vector<bool> fixed;
     bool has_mask = false;
     bool sym = false;
   };
@@ -375,8 +377,10 @@ class LocalModelChecker {
   /// Returns false when the sweep must stop (budget / cap).
   bool sym_consider(std::vector<std::uint32_t>& combo,
                     const std::vector<std::vector<std::uint32_t>>& counts, SymSweepCtx& ctx);
-  /// Verify `jobs` in parallel, merge outcomes in order. phase2 = the
-  /// deferred drain (full caps, no feasibility pre-check, no re-deferral).
+  /// Verify `jobs` in parallel, one chunk of kVerifyChunk jobs per
+  /// fan-out, and merge outcomes in order; a stop ends the phase after the
+  /// chunk that set it. phase2 = the deferred drain (full caps, no
+  /// re-deferral).
   void verify_prelims(std::vector<Deferred> jobs, bool phase2);
   /// Run fn(0..n-1) on the persistent pool (created lazily; inline when
   /// num_threads <= 1 or n == 1). Worker exceptions rethrow here.
@@ -476,27 +480,18 @@ class LocalModelChecker {
   /// Stamped into checkpoints alongside the round counter.
   std::uint64_t segment_id_ = 0;
 
-  /// Message hashes each node's recorded transitions can generate; feeds
-  /// the per-member feasibility pre-check (see SoundnessVerifier).
+  /// Message hashes each node's recorded transitions can generate (a live
+  /// engine is told each new one); serialized in checkpoint section 6.
   std::vector<std::unordered_set<Hash64>> node_gens_;
-  /// Pred/self-loop edges recorded per node (feasibility cache signature:
-  /// a new edge anywhere in the node's graph can open new paths).
+  /// Pred/self-loop edges recorded per node: the engine's version of the
+  /// node's graph, since a new edge anywhere in it can open new paths.
   std::vector<std::uint64_t> pred_edges_;
-  struct FeasEntry {
-    bool feasible = false;
-    std::uint64_t sig = 0;  ///< availability signature the verdict was computed at
-  };
-  /// Feasibility cache, striped by key so parallel verification workers can
-  /// consult and populate it concurrently. Verdicts are deterministic
-  /// functions of frozen per-sweep state, so racing recomputations of the
-  /// same key are idempotent and cache contents never affect results.
-  struct FeasStripe {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, FeasEntry> map;
-  };
-  static constexpr std::size_t kFeasStripes = 16;
-  std::array<FeasStripe, kFeasStripes> feas_cache_;
-  void clear_feas_cache();
+  /// The run's one soundness engine: closures and feasibility verdicts
+  /// cached across verifications, synced on the applier before each
+  /// verification phase. Created from the store and node_gens_ by a run
+  /// segment's first verification and dropped when the segment ends;
+  /// derived state, never serialized. Null while nothing was verified.
+  std::unique_ptr<SoundnessEngine> engine_;
 };
 
 }  // namespace lmc

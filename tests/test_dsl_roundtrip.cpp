@@ -82,6 +82,7 @@ TEST(DslRoundTrip, ArtifactIsWrittenAndLoadable) {
   shrunk.report.failure = OracleFailure::MissingNodeState;
   shrunk.report.detail = "node 1 state missing";
   shrunk.report.lmc_confirmed = 2;
+  shrunk.report.gmc_violation_tuples = 2;
   shrunk.attempts = 3;
   shrunk.removed = 1;
   OracleOptions opt;
@@ -119,6 +120,34 @@ TEST(DslRoundTrip, ArtifactIsWrittenAndLoadable) {
   EXPECT_EQ(*r.spec, expected);
 
   fs::remove_all(dir.parent_path());
+}
+
+// A checker that missed every violation the global search found must not
+// write `expect violation;` from its own count of 0: the artifact's
+// expectation is the reference verdict, which the replay meets once the
+// checker is fixed.
+TEST(DslRoundTrip, ArtifactExpectsTheReferenceVerdict) {
+  ShrinkResult shrunk;
+  shrunk.spec = generate_spec(14);
+  shrunk.spec.expect_violation = false;
+  shrunk.report.ok = false;
+  shrunk.report.failure = OracleFailure::GmcViolationMissing;
+  shrunk.report.lmc_confirmed = 0;
+  shrunk.report.gmc_violation_tuples = 3;
+
+  fs::path dir = fs::temp_directory_path() / "lmc_artifact_reference_test";
+  fs::remove_all(dir);
+  const std::string path = write_repro_artifact(dir.string(), 14, shrunk, OracleOptions{},
+                                                GenLimits{}, /*symmetric=*/false);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << path;
+  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find("expect violation;"), std::string::npos) << text;
+  dsl::LoadResult r = dsl::load_file(path);
+  ASSERT_TRUE(r.ok()) << r.diags.to_string();
+  EXPECT_TRUE(r.spec->expect_violation);
+
+  fs::remove_all(dir);
 }
 
 }  // namespace

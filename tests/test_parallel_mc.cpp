@@ -1,6 +1,7 @@
 // The parallel machinery: the persistent WorkerPool (exception
 // propagation, reuse), thread-count determinism of full checker runs on the
-// GEN and OPT paths, phase-1 handler errors in publication order, the
+// GEN and OPT paths, the pinned soundness search outcome on the §5.5
+// workload, phase-1 handler errors in publication order, the
 // resumed-past-budget guard, checkpoint-write failures, and the I+
 // registration of messages sent by handlers whose local assert fails
 // (addNextState order, Fig. 9).
@@ -14,6 +15,7 @@
 #include <thread>
 #include <utility>
 
+#include "dfuzz/oracle.hpp"
 #include "mc/local_mc.hpp"
 #include "mc/parallel_local_mc.hpp"
 #include "mc/replay.hpp"
@@ -343,6 +345,50 @@ TEST(ParallelDeterminism, BuggyPaxosLiveStateAcrossThreadCounts) {
   ReplayResult rep = replay_schedule(cfg, runs[2]->initial_nodes(), runs[2]->initial_in_flight(),
                                      v->witness, runs[2]->events(), v->state_hashes);
   EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+TEST(ParallelDeterminism, WidsSoundnessSearchIsPinned) {
+  // The joint search's order is part of its contract: it decides which
+  // witness is found, where LMC-OPT's free nodes park (the confirmed
+  // combination) and whether a sound combination is found within the quick
+  // pass's cap, which moves soundness_calls. Every value below is the one
+  // the closures' recorded out-edge order produces on the §5.5 workload
+  // with chains of at most 3 events; sorting a closure's states instead
+  // keeps every count but changes the witnesses.
+  SystemConfig cfg = paxos::make_config(
+      3, paxos::CoreOptions{0, /*bug=*/true}, paxos::DriverConfig{{0, 1}, 1});
+  auto inv = paxos::make_agreement_invariant();
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::vector<Blob> live;
+    build_5_5_live_state(cfg).swap(live);
+    LocalMcOptions opt;
+    opt.max_total_depth = 18;
+    opt.max_chain_depth = 3;
+    opt.use_projection = true;
+    opt.stop_on_confirmed = false;
+    opt.num_threads = threads;
+    LocalModelChecker mc(cfg, inv.get(), opt);
+    mc.run(live, {});
+    const LocalMcStats& s = mc.stats();
+    EXPECT_EQ(s.transitions, 1168u);
+    EXPECT_EQ(s.node_states, 247u);
+    EXPECT_EQ(s.system_states, 2678u);
+    EXPECT_EQ(s.soundness_calls, 1068u);
+    EXPECT_EQ(s.confirmed_violations, 4u);
+    EXPECT_EQ(s.sequences_checked, 13979u);
+    EXPECT_EQ(s.feasibility_skips, 2144u);
+    EXPECT_EQ(s.soundness_deferred, 2678u);
+    EXPECT_EQ(hash_blob(dfuzz::normalized_checkpoint_bytes(mc.checkpoint_bytes())),
+              0xd01375f14b3089d8ULL);
+    Hash64 h = 0;
+    for (const LocalViolation& v : mc.violations()) {
+      for (std::uint32_t c : v.combo) h = hash_combine(h, c);
+      for (const ScheduleStep& step : v.witness)
+        h = hash_combine(hash_combine(hash_combine(h, step.node), step.is_message), step.ev_hash);
+    }
+    EXPECT_EQ(h, 0xd04d96013991fb4dULL);
+  }
 }
 
 TEST(ParallelDeterminism, BuggyElectionAcrossThreadCounts) {

@@ -205,5 +205,110 @@ TEST(Soundness, ScheduleRespectsMessageCausality) {
   EXPECT_TRUE(v.verify({1, 1, 0}).sound);
 }
 
+// A long-lived engine synced the way the checker syncs it must answer
+// exactly like a verifier built fresh on the grown store: cached closures
+// and feasibility verdicts are dropped when a node's graph moves.
+TEST(Soundness, EngineFollowsStoreGrowth) {
+  LocalStore store(2);
+  store.add(0, state(10, 0));
+  NodeStateRec s1 = state(11, 1);
+  s1.preds.push_back(internal_edge(0, 0xE1, {0xA1}));  // node 0 sends A1
+  store.add(0, std::move(s1));
+  store.add(1, state(20, 0));
+  NodeStateRec t1 = state(21, 1);
+  t1.preds.push_back(msg_edge(0, 0xA2));  // A2: nothing sends it
+  store.add(1, std::move(t1));
+  NodeStateRec t2 = state(22, 2);
+  t2.preds.push_back(msg_edge(1, 0xA3));  // A3: nothing sends it yet
+  store.add(1, std::move(t2));
+  const std::vector<Hash64> in_flight{0xF0};
+  const std::uint64_t full = SoundnessOptions{}.max_schedules;
+
+  auto edges = [&](NodeId n) {
+    std::uint64_t e = 0;
+    for (std::uint32_t i = 0; i < store.size(n); ++i)
+      e += store.rec(n, i).preds.size() + store.rec(n, i).self_loops.size();
+    return e;
+  };
+  auto note_all = [&](SoundnessEngine& eng) {
+    for (NodeId n = 0; n < store.num_nodes(); ++n)
+      for (std::uint32_t i = 0; i < store.size(n); ++i) {
+        for (const Pred& p : store.rec(n, i).preds)
+          for (Hash64 g : p.gen) eng.note_generated(n, g);
+        for (const Pred& p : store.rec(n, i).self_loops)
+          for (Hash64 g : p.gen) eng.note_generated(n, g);
+      }
+  };
+  SoundnessEngine engine(store, in_flight);
+  auto sync = [&]() {
+    note_all(engine);  // only new (node, message) pairs count
+    for (NodeId n = 0; n < store.num_nodes(); ++n) engine.sync(n, edges(n));
+  };
+  auto check_all = [&](const char* step) {
+    SCOPED_TRACE(step);
+    SoundnessEngine fresh(store, in_flight);
+    note_all(fresh);
+    for (NodeId n = 0; n < store.num_nodes(); ++n) fresh.sync(n, edges(n));
+    for (NodeId n = 0; n < store.num_nodes(); ++n)
+      for (std::uint32_t t = 0; t < store.size(n); ++t)
+        EXPECT_EQ(engine.feasible(n, t), fresh.feasible(n, t)) << "node " << n << " state " << t;
+    for (std::uint64_t cap : {std::uint64_t{1}, full}) {
+      SoundnessOptions opt;
+      opt.max_schedules = cap;
+      const SoundnessVerifier verifier(store, in_flight, opt);
+      for (std::uint32_t a = 0; a < store.size(0); ++a)
+        for (std::uint32_t b = 0; b < store.size(1); ++b)
+          for (unsigned mask = 0; mask < 4; ++mask) {
+            const std::vector<bool> fixed{(mask & 1) != 0, (mask & 2) != 0};
+            std::vector<std::uint32_t> combo{a, b};
+            const SoundnessResult want = verifier.verify(combo, &fixed);
+            for (NodeId n = 0; n < 2; ++n)
+              if (!fixed[n]) combo[n] = kFreeNode;
+            const SoundnessResult got = engine.verify(combo, cap);
+            SCOPED_TRACE(::testing::Message() << "combo " << a << "," << b << " mask " << mask
+                                              << " cap " << cap);
+            EXPECT_EQ(got.sound, want.sound);
+            EXPECT_EQ(got.truncated, want.truncated);
+            EXPECT_EQ(got.schedules_checked, want.schedules_checked);
+            EXPECT_EQ(got.final_combo, want.final_combo);
+            ASSERT_EQ(got.schedule.size(), want.schedule.size());
+            for (std::size_t k = 0; k < got.schedule.size(); ++k) {
+              EXPECT_EQ(got.schedule[k].node, want.schedule[k].node);
+              EXPECT_EQ(got.schedule[k].is_message, want.schedule[k].is_message);
+              EXPECT_EQ(got.schedule[k].ev_hash, want.schedule[k].ev_hash);
+            }
+          }
+    }
+  };
+
+  sync();
+  check_all("initial store");
+  EXPECT_FALSE(engine.verify({1, 1}, full).sound);
+
+  // A new state: node 0 moves on from s1 without sending.
+  NodeStateRec s2 = state(12, 2);
+  s2.preds.push_back(internal_edge(1, 0xE2));
+  store.add(0, std::move(s2));
+  sync();
+  check_all("new state");
+  EXPECT_FALSE(engine.verify({1, 1}, full).sound);
+
+  // A new pred edge on an existing state: t1 is also reached by receiving
+  // A1, which node 0 sends. (s1, t1) turns sound — a mid-run unsound
+  // verdict is only provisional.
+  store.rec(1, 1).preds.push_back(msg_edge(0, 0xA1));
+  sync();
+  check_all("new pred edge");
+  EXPECT_TRUE(engine.verify({1, 1}, full).sound);
+  EXPECT_FALSE(engine.feasible(1, 2));
+
+  // A new self-loop that sends the missing A3: t2 becomes reachable.
+  store.rec(0, 2).self_loops.push_back(msg_edge(2, 0xF0, {0xA3}));
+  sync();
+  check_all("new self-loop");
+  EXPECT_TRUE(engine.feasible(1, 2));
+  EXPECT_TRUE(engine.verify({2, 2}, full).sound);
+}
+
 }  // namespace
 }  // namespace lmc
