@@ -64,7 +64,7 @@ void BM_MonotonicNetworkAdd(benchmark::State& state) {
       m.dst = (n + i) % 3;
       m.src = 0;
       m.type = i;
-      net.add(m);
+      net.add(m, m.hash());
     }
     benchmark::DoNotOptimize(net.size());
     ++n;

@@ -105,6 +105,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   engine_.reset();
   pending_tasks_.clear();
   stats_ = LocalMcStats{};
+  live_bytes_ = 0;
   violations_.clear();
   stop_ = false;
   base_elapsed_s_ = 0.0;
@@ -120,6 +121,7 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
     rec.depth = 0;
     const Hash64 root_hash = rec.hash;
     store_.add(n, std::move(rec));  // LS_n[0]: the snapshot state
+    live_bytes_ += LocalStore::state_bytes(store_.rec(n, 0));
     ++stats_.node_states;
     LMC_TRACE(opt_.trace, record(tev(EventType::kStateInsert, obs::Phase::kExplore, cur_round_,
                                      0, root_hash, 0, 0.0, n)));
@@ -130,7 +132,8 @@ void LocalModelChecker::init_run(const std::vector<Blob>& nodes,
   for (const Message& m : in_flight) {
     Hash64 h = m.hash();
     start_.in_flight_hashes.push_back(h);
-    if (net_.add(m)) {
+    if (net_.add(m, h)) {
+      live_bytes_ += MonotonicNetwork::entry_bytes(net_.at(net_.size() - 1));
       EventRecord er;
       er.is_message = true;
       er.msg = m;
@@ -442,11 +445,31 @@ void LocalModelChecker::execute_audited(Exec& e, const Blob& state, const Messag
   if (!rep.ok) throw ModelValidityError(e.node, rep.detail);
 }
 
+bool LocalModelChecker::discards(const ExecResult& r) const {
+  return r.assert_failed && opt_.assert_policy == LocalMcOptions::AssertPolicy::DiscardState;
+}
+
+// The pure part of applying a result, done where the result was produced:
+// one hash per sent message, and the successor's hash. Bytes equal to the
+// predecessor's are the predecessor's state, and equal bytes have equal
+// hashes, so a silent no-op hashes no state; differing bytes are hashed,
+// and apply_exec still compares that hash with the predecessor's. A result
+// the assert policy discards is never looked up, so it gets no state hash.
+void LocalModelChecker::digest(Exec& e, const NodeStateRec& pred) const {
+  std::vector<Hash64> gen;
+  gen.reserve(e.result.sent.size());
+  for (const Message& m : e.result.sent) gen.push_back(m.hash());
+  e.gen = std::move(gen);
+  if (discards(e.result)) return;
+  e.state_hash = e.result.state == pred.blob ? pred.hash : hash_blob(e.result.state);
+}
+
 // A pool lane's body: run the handler(s) of one task against the store
-// and I+, which nothing writes while a chunk executes. With an exec cache
-// attached the lane probes with peek() and skips execution on a hit — the
-// applier finalizes the cached verdict authoritatively at apply time, so
-// results never depend on lane timing.
+// and I+, which nothing writes while a chunk executes, and digest each
+// result outside its handler timing. With an exec cache attached the lane
+// probes with peek() and skips execution on a hit — the applier finalizes
+// the cached verdict authoritatively at apply time, so results never
+// depend on lane timing.
 std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task& t) {
   std::vector<Exec> out;
   ExecCache* const cache = opt_.exec_cache;
@@ -466,6 +489,7 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
       execute_audited(ex, rec.blob, &e.msg);
     }
     if (timing) ex.exec_s = now_s() - tr0;
+    if (!ex.peek_hit) digest(ex, rec);
     out.push_back(std::move(ex));
   } else {
     for (const InternalEvent& ev : internal_events_of(cfg_, t.node, rec.blob)) {
@@ -482,6 +506,7 @@ std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task&
         execute_audited(ex, rec.blob, nullptr);
       }
       if (timing) ex.exec_s = now_s() - tr0;
+      if (!ex.peek_hit) digest(ex, rec);
       out.push_back(std::move(ex));
     }
   }
@@ -494,12 +519,14 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   // most once (cursor discipline), so this lookup hits exactly when an
   // EARLIER run inserted the pair — the same verdict a serial run computes.
   // The lane's speculative peek() only decided whether to bother executing.
+  // A result produced here is digested here.
   if (ExecCache* const cache = opt_.exec_cache; cache != nullptr) {
     const NodeStateRec& pred0 = store_.rec(e.node, e.pred_idx);
     ExecResult replay;
     if (cache->lookup(e.ev_hash, pred0.hash, replay)) {
       e.cached = true;
       e.result = std::move(replay);
+      digest(e, pred0);
     } else {
       if (e.peek_hit) {
         // The lane's peek saw the pair but a generation rotation evicted it
@@ -507,6 +534,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
         const double tr0 = opt_.trace != nullptr || opt_.profile != nullptr ? now_s() : 0.0;
         execute_audited(e, pred0.blob, e.is_message ? net_.find(e.ev_hash) : nullptr);
         if (opt_.trace != nullptr || opt_.profile != nullptr) e.exec_s = now_s() - tr0;
+        digest(e, pred0);
       }
       cache->insert(e.ev_hash, pred0.hash, e.result);
     }
@@ -516,8 +544,8 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
                                    e.exec_s, e.node, seq)));
   // Per-rule cost attribution. All fields are computed from the Exec alone
   // (identity: a pure function of the exploration); exec_s is lane wall
-  // time (attribution). hash_bytes anticipates the hash_blob below — zero
-  // when the assert policy will discard the state before it is hashed.
+  // time (attribution). hash_bytes counts the state bytes of every result
+  // the assert policy keeps, whether or not digest() had to hash them.
   if (obs::ProfileSink* const psink = opt_.profile; psink != nullptr) {
     obs::RuleKey rk;
     rk.node = e.node;
@@ -530,9 +558,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
     }
     std::uint64_t ser = e.result.state.size();
     for (const Message& m : e.result.sent) ser += m.payload.size();
-    const bool discards = e.result.assert_failed &&
-                          opt_.assert_policy == LocalMcOptions::AssertPolicy::DiscardState;
-    const std::uint64_t hash_bytes = discards ? 0 : e.result.state.size();
+    const std::uint64_t hash_bytes = discards(e.result) ? 0 : e.result.state.size();
     psink->rule(rk, e.cached, ser, hash_bytes, e.exec_s);
   }
   // A cached replay is not a handler execution: it is exactly the work the
@@ -552,14 +578,14 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   // monotonic/never-remove (§3, §4.2): dropping them would hide every
   // behaviour they trigger on other nodes and can mask real bugs whose
   // trigger message precedes an assert.
-  std::vector<Hash64> gen;
-  gen.reserve(e.result.sent.size());
-  for (const Message& m : e.result.sent) {
-    Hash64 h = m.hash();
-    gen.push_back(h);
+  std::vector<Hash64>& gen = e.gen;
+  for (std::size_t k = 0; k < gen.size(); ++k) {
+    const Message& m = e.result.sent[k];
+    const Hash64 h = gen[k];
     if (node_gens_[e.node].insert(h).second && engine_ != nullptr)
       engine_->note_generated(e.node, h);
-    if (net_.add(m)) {
+    if (net_.add(m, h)) {
+      live_bytes_ += MonotonicNetwork::entry_bytes(net_.at(net_.size() - 1));
       EventRecord er;
       er.is_message = true;
       er.msg = m;
@@ -595,7 +621,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   }
 
   NodeStateRec& pred = store_.rec(e.node, e.pred_idx);
-  const Hash64 h2 = hash_blob(e.result.state);
+  const Hash64 h2 = e.state_hash;
   if (h2 == pred.hash) {
     // No-op transition. If it generated messages (a stateless relay), keep
     // it as a self-loop so soundness verification can account for the
@@ -605,6 +631,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
                  gen.empty() ? FwdOutcome::kNoop : FwdOutcome::kLoopSends, 0);
     if (!gen.empty()) {
       pred.self_loops.push_back(Pred{e.pred_idx, e.is_message, e.ev_hash, std::move(gen)});
+      live_bytes_ += LocalStore::edge_bytes(pred.self_loops.back());
       ++pred_edges_[e.node];
     }
     apply_ev(2);
@@ -617,15 +644,16 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
     // history is intentionally not merged (paper's simplification).
     if (por_rel_ != nullptr && e.is_message)
       record_fwd(e.node, e.pred_idx, e.ev_hash, FwdOutcome::kSucc, existing);
-    store_.rec(e.node, existing)
-        .preds.push_back(Pred{e.pred_idx, e.is_message, e.ev_hash, std::move(gen)});
+    std::vector<Pred>& preds = store_.rec(e.node, existing).preds;
+    preds.push_back(Pred{e.pred_idx, e.is_message, e.ev_hash, std::move(gen)});
+    live_bytes_ += LocalStore::edge_bytes(preds.back());
     ++pred_edges_[e.node];
     apply_ev(1);
     return;
   }
 
   NodeStateRec rec;
-  rec.blob = e.result.state;
+  rec.blob = e.result.state;  // a copy: stored blobs are exact-size
   rec.hash = h2;
   rec.depth = pred.depth + 1;
   rec.history = pred.history;
@@ -633,6 +661,7 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
   rec.preds.push_back(Pred{e.pred_idx, e.is_message, e.ev_hash, std::move(gen)});
   ++pred_edges_[e.node];
   const std::uint32_t idx = store_.add(e.node, std::move(rec));
+  live_bytes_ += LocalStore::state_bytes(store_.rec(e.node, idx));
   if (por_rel_ != nullptr && e.is_message)
     record_fwd(e.node, e.pred_idx, e.ev_hash, FwdOutcome::kSucc, idx);
   if (canon_ != nullptr) canon_->add_state(e.node, h2);
@@ -1356,7 +1385,7 @@ void LocalModelChecker::sweep_sym(NodeId n, std::uint32_t idx) {
 }
 
 void LocalModelChecker::refresh_memory_stats() {
-  stats_.stored_bytes = std::max(stats_.stored_bytes, store_.bytes() + net_.bytes());
+  stats_.stored_bytes = std::max(stats_.stored_bytes, live_bytes_);
 }
 
 void LocalModelChecker::finalize_stats() {
@@ -1632,6 +1661,9 @@ void LocalModelChecker::load_checkpoint_bytes(const Blob& data) {
 
   store_ = std::move(img.store);
   net_ = MonotonicNetwork::restore(std::move(img.net_entries), img.net_suppressed);
+  // One walk starts the running footprint. Decoded vectors can be smaller
+  // than the written ones, so the file's stored_bytes stays its floor.
+  live_bytes_ = store_.bytes() + net_.bytes();
   events_ = std::move(img.events);
   start_ = std::move(img.start);
   internal_scan_ = std::move(img.internal_scan);

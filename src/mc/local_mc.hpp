@@ -258,6 +258,11 @@ class LocalModelChecker {
     NodeId node = 0;
     std::uint32_t pred_idx = 0;
     ExecResult result;
+    /// The result's identity (see digest): the hash of each sent message in
+    /// send order, reserved at exactly result.sent.size(), and the
+    /// successor's hash (unset when the assert policy discards the result).
+    std::vector<Hash64> gen;
+    Hash64 state_hash = 0;
     InternalEvent ev;      ///< internal tasks: the executed event
     double exec_s = 0.0;   ///< lane-measured handler seconds (tracing/profiling only)
   };
@@ -271,6 +276,11 @@ class LocalModelChecker {
   /// event) into e.result and, under audit_validity, audit it. Reads only
   /// its arguments and the config: pool lanes call it too.
   void execute_audited(Exec& e, const Blob& state, const Message* msg);
+  /// Fill e.gen and e.state_hash from e.result and its predecessor record.
+  /// Reads only its arguments and the options: pool lanes call it too.
+  void digest(Exec& e, const NodeStateRec& pred) const;
+  /// Whether the assert policy discards result r's successor state.
+  bool discards(const ExecResult& r) const;
   void apply_exec(Exec& e, std::uint64_t seq);
   void check_snapshot_combination();
   void check_combinations(NodeId n, std::uint32_t idx);
@@ -460,6 +470,9 @@ class LocalModelChecker {
   std::uint64_t por_audit_ctr_ = 0;  ///< audit_every sampling counter
 
   LocalMcStats stats_;
+  /// store_.bytes() + net_.bytes(), kept current as states, edges and I+
+  /// entries are added; stats_.stored_bytes is its maximum over the run.
+  std::size_t live_bytes_ = 0;
   /// audit_validity counter; atomic because audits run on pool workers.
   std::atomic<std::uint64_t> audits_performed_{0};
   std::vector<LocalViolation> violations_;

@@ -118,17 +118,25 @@ class LocalStore {
     return t;
   }
 
-  /// Approximate heap footprint (Fig. 12 accounting).
+  /// Approximate heap footprint (Fig. 12 accounting): state_bytes() summed
+  /// over every record.
   std::size_t bytes() const {
     std::size_t b = 0;
-    for (const auto& d : states_) {
-      for (const NodeStateRec& r : d) {
-        b += sizeof(NodeStateRec) + r.blob.capacity() + r.history.capacity() * sizeof(Hash64);
-        for (const Pred& p : r.preds) b += sizeof(Pred) + p.gen.capacity() * sizeof(Hash64);
-        for (const Pred& p : r.self_loops) b += sizeof(Pred) + p.gen.capacity() * sizeof(Hash64);
-      }
-      b += d.size() * 24;  // hash index overhead estimate (kept stable across PRs)
-    }
+    for (const auto& d : states_)
+      for (const NodeStateRec& r : d) b += state_bytes(r);
+    return b;
+  }
+  /// One edge's share of bytes(), fixed when the edge is recorded.
+  static std::size_t edge_bytes(const Pred& p) {
+    return sizeof(Pred) + p.gen.capacity() * sizeof(Hash64);
+  }
+  /// One record's share of bytes(): the record with its edges so far, and
+  /// its hash index slot (an estimate kept stable across versions).
+  static std::size_t state_bytes(const NodeStateRec& r) {
+    std::size_t b = sizeof(NodeStateRec) + r.blob.capacity() +
+                    r.history.capacity() * sizeof(Hash64) + 24;
+    for (const Pred& p : r.preds) b += edge_bytes(p);
+    for (const Pred& p : r.self_loops) b += edge_bytes(p);
     return b;
   }
 

@@ -2,14 +2,13 @@
 
 namespace lmc {
 
-bool MonotonicNetwork::add(Message m) {
-  const Hash64 h = m.hash();
+bool MonotonicNetwork::add(const Message& m, Hash64 h) {
   const auto next = static_cast<std::uint32_t>(entries_.size());
   if (index_.insert_if_absent(h, next) != next) {
     ++suppressed_;
     return false;
   }
-  entries_.push_back(Entry{std::move(m), h, 0});
+  entries_.push_back(Entry{m, h, 0});
   return true;
 }
 
@@ -36,8 +35,8 @@ std::vector<Hash64> MonotonicNetwork::all_hashes() const {
 }
 
 std::size_t MonotonicNetwork::bytes() const {
-  std::size_t b = entries_.size() * (sizeof(Entry) + sizeof(Hash64) + 2 * sizeof(std::size_t));
-  for (const Entry& e : entries_) b += e.msg.payload.capacity();
+  std::size_t b = 0;
+  for (const Entry& e : entries_) b += entry_bytes(e);
   return b;
 }
 

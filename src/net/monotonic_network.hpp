@@ -33,9 +33,12 @@ class MonotonicNetwork {
     std::size_t next_state = 0;
   };
 
-  /// Append a message; returns false (and counts a suppression) if a message
-  /// with identical content was already added at any point in the search.
-  bool add(Message m);
+  /// Append a copy of `m`, whose hash `h` must be m.hash(); returns false
+  /// (and counts a suppression, copying nothing) if a message with identical
+  /// content was already added at any point in the search. The hash is an
+  /// argument so that it is computed once, where the message was produced
+  /// (a phase-1 pool lane), and the table's owner only looks it up.
+  bool add(const Message& m, Hash64 h);
 
   /// Rebuild a network from checkpointed entries: the hash index is
   /// reconstructed, per-message cursors are taken from the entries.
@@ -58,8 +61,13 @@ class MonotonicNetwork {
   /// distinct in-flight messages come first).
   std::vector<Hash64> all_hashes() const;
 
-  /// Approximate heap footprint for Fig. 12 accounting.
+  /// Approximate heap footprint for Fig. 12 accounting: entry_bytes() summed
+  /// over every entry.
   std::size_t bytes() const;
+  /// One entry's share of bytes(), fixed when the entry is added.
+  static std::size_t entry_bytes(const Entry& e) {
+    return sizeof(Entry) + sizeof(Hash64) + 2 * sizeof(std::size_t) + e.msg.payload.capacity();
+  }
 
  private:
   std::deque<Entry> entries_;

@@ -30,6 +30,11 @@ class SerializeError : public std::runtime_error {
 /// Appends values to a growing byte buffer.
 class Writer {
  public:
+  Writer() = default;
+  /// Starts with room for `reserve` bytes, e.g. the size of the state the
+  /// written one succeeds, so that a typical write never reallocates.
+  explicit Writer(std::size_t reserve) { buf_.reserve(reserve); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void u16(std::uint16_t v) { put_le(v); }
@@ -62,10 +67,14 @@ class Writer {
   std::size_t size() const { return buf_.size(); }
 
  private:
+  // One resize per word; the byte stores at fixed offsets compile to a
+  // single store on little-endian hosts.
   template <typename T>
   void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::uint8_t* p = buf_.data() + at;
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 
   Blob buf_;

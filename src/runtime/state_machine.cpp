@@ -2,8 +2,8 @@
 
 namespace lmc {
 
-Blob machine_to_blob(const StateMachine& m) {
-  Writer w;
+Blob machine_to_blob(const StateMachine& m, std::size_t reserve) {
+  Writer w(reserve);
   m.serialize(w);
   return std::move(w).take();
 }
@@ -22,7 +22,7 @@ ExecResult exec_message(const SystemConfig& cfg, NodeId n, const Blob& state, co
   Context ctx(n);
   node->handle_message(m, ctx);
   ExecResult res;
-  res.state = machine_to_blob(*node);
+  res.state = machine_to_blob(*node, state.size());
   res.assert_failed = ctx.assert_failed();
   res.assert_msg = ctx.assert_message();
   res.sent = std::move(ctx).take_sent();
@@ -35,7 +35,7 @@ ExecResult exec_internal(const SystemConfig& cfg, NodeId n, const Blob& state,
   Context ctx(n);
   node->handle_internal(ev, ctx);
   ExecResult res;
-  res.state = machine_to_blob(*node);
+  res.state = machine_to_blob(*node, state.size());
   res.assert_failed = ctx.assert_failed();
   res.assert_msg = ctx.assert_message();
   res.sent = std::move(ctx).take_sent();

@@ -70,8 +70,9 @@ struct SystemConfig {
   std::unique_ptr<StateMachine> make(NodeId n) const { return factory(n, num_nodes); }
 };
 
-/// Serialize a machine into a fresh blob.
-Blob machine_to_blob(const StateMachine& m);
+/// Serialize a machine into a fresh blob whose buffer starts with room for
+/// `reserve` bytes (the blob's capacity may exceed its size).
+Blob machine_to_blob(const StateMachine& m, std::size_t reserve = 0);
 
 /// Rehydrate node `n` of `cfg` from `state`.
 std::unique_ptr<StateMachine> machine_from_blob(const SystemConfig& cfg, NodeId n,
@@ -79,7 +80,9 @@ std::unique_ptr<StateMachine> machine_from_blob(const SystemConfig& cfg, NodeId 
 
 /// Result of executing one handler on one serialized node state.
 struct ExecResult {
-  Blob state;                   ///< successor node state (serialized)
+  /// Successor node state (serialized). Its buffer was reserved from the
+  /// predecessor's size: copy it to keep an exact-size blob.
+  Blob state;
   std::vector<Message> sent;    ///< the handler's `c` set
   bool assert_failed = false;   ///< a local assertion fired
   std::string assert_msg;

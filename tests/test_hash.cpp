@@ -102,6 +102,24 @@ TEST(Hash, InternalEventDistinctFromMessage) {
   EXPECT_NE(m.hash(), e.hash(0));
 }
 
+TEST(Hash, GoldenValues) {
+  // Identity hashes are persisted in checkpoints and witnesses and order the
+  // soundness closures, so the function itself is pinned, not just its
+  // stability within one build: a different hash fails here.
+  EXPECT_EQ(hash_blob({}), 0xc3817c016ba4ff30ULL);
+  EXPECT_EQ(hash_blob({1, 2, 3}), 0x87668959ade090f8ULL);
+  Blob ramp(256);
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(hash_blob(ramp), 0xf8247f1def37cd96ULL);
+  Message m;
+  m.dst = 1;
+  m.src = 2;
+  m.type = 3;
+  m.payload = {4, 5, 6};
+  EXPECT_EQ(m.hash(), 0x4f3b59985c0e21f3ULL);
+  EXPECT_EQ((InternalEvent{7, {8}}.hash(9)), 0x04c63a62516ac76cULL);
+}
+
 // HashIndex (the suite keeps the name of the concurrent table it replaced)
 
 TEST(ConcurrentHashIndex, InsertFindEraseBasics) {

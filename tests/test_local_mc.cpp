@@ -272,6 +272,8 @@ TEST(LocalMc, MemoryAccountingIsPopulated) {
   mc.run_from_initial();
   EXPECT_GT(mc.stats().stored_bytes, 0u);
   EXPECT_GT(mc.stats().messages_in_iplus, 0u);
+  // The running footprint equals a walk of what the run stored.
+  EXPECT_EQ(mc.stats().stored_bytes, mc.store().bytes() + mc.iplus().bytes());
 }
 
 // ---------------------------------------------------------------------------

@@ -62,18 +62,22 @@ TEST(Network, AddAllReportsSuppressed) {
   EXPECT_EQ(net.size(), 2u);
 }
 
+// I+ takes each message with its hash, which the checker computes where
+// the message was produced.
+bool add(MonotonicNetwork& net, const Message& m) { return net.add(m, m.hash()); }
+
 TEST(MonotonicNetwork, AppendOnlyWithDedup) {
   MonotonicNetwork net;
-  EXPECT_TRUE(net.add(mk(1, 0, 7)));
-  EXPECT_FALSE(net.add(mk(1, 0, 7)));
-  EXPECT_TRUE(net.add(mk(1, 0, 8)));
+  EXPECT_TRUE(add(net, mk(1, 0, 7)));
+  EXPECT_FALSE(add(net, mk(1, 0, 7)));
+  EXPECT_TRUE(add(net, mk(1, 0, 8)));
   EXPECT_EQ(net.size(), 2u);
   EXPECT_EQ(net.suppressed(), 1u);
 }
 
 TEST(MonotonicNetwork, CursorsStartAtZero) {
   MonotonicNetwork net;
-  net.add(mk(1, 0, 7));
+  add(net, mk(1, 0, 7));
   EXPECT_EQ(net.at(0).next_state, 0u);
   net.at(0).next_state = 5;
   EXPECT_EQ(net.at(0).next_state, 5u);
@@ -81,9 +85,9 @@ TEST(MonotonicNetwork, CursorsStartAtZero) {
 
 TEST(MonotonicNetwork, RestoreRebuildsIndexAndCursors) {
   MonotonicNetwork orig;
-  orig.add(mk(1, 0, 7));
-  orig.add(mk(2, 0, 8));
-  orig.add(mk(1, 0, 7));  // suppressed
+  add(orig, mk(1, 0, 7));
+  add(orig, mk(2, 0, 8));
+  add(orig, mk(1, 0, 7));  // suppressed
   orig.at(1).next_state = 4;
 
   std::vector<MonotonicNetwork::Entry> entries = orig.snapshot_entries();
@@ -93,14 +97,14 @@ TEST(MonotonicNetwork, RestoreRebuildsIndexAndCursors) {
   EXPECT_EQ(net.at(1).next_state, 4u);
   EXPECT_TRUE(net.contains(mk(2, 0, 8).hash()));
   // Dedup still works against restored content.
-  EXPECT_FALSE(net.add(mk(2, 0, 8)));
+  EXPECT_FALSE(add(net, mk(2, 0, 8)));
   EXPECT_EQ(net.suppressed(), 2u);
 }
 
 TEST(MonotonicNetwork, FindByHash) {
   MonotonicNetwork net;
   Message m = mk(2, 1, 9, {42});
-  net.add(m);
+  add(net, m);
   const Message* found = net.find(m.hash());
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, m);
@@ -110,8 +114,8 @@ TEST(MonotonicNetwork, FindByHash) {
 TEST(MonotonicNetwork, AllHashesInsertionOrder) {
   MonotonicNetwork net;
   Message a = mk(1, 0, 1), b = mk(2, 0, 2);
-  net.add(a);
-  net.add(b);
+  add(net, a);
+  add(net, b);
   auto hashes = net.all_hashes();
   ASSERT_EQ(hashes.size(), 2u);
   EXPECT_EQ(hashes[0], a.hash());

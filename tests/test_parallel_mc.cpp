@@ -19,6 +19,7 @@
 #include "mc/local_mc.hpp"
 #include "mc/parallel_local_mc.hpp"
 #include "mc/replay.hpp"
+#include "online/live_runner.hpp"
 #include "persist/checkpoint.hpp"
 #include "protocols/election.hpp"
 #include "protocols/paxos.hpp"
@@ -388,6 +389,77 @@ TEST(ParallelDeterminism, WidsSoundnessSearchIsPinned) {
         h = hash_combine(hash_combine(hash_combine(h, step.node), step.is_message), step.ev_hash);
     }
     EXPECT_EQ(h, 0xd04d96013991fb4dULL);
+  }
+}
+
+TEST(ParallelDeterminism, PaxosPhaseOneIsPinned) {
+  // Phase-1 identity on correct Paxos: the lanes hash each result they
+  // produce (sent messages and successor state) and the applier only looks
+  // those hashes up, so every count and the normalized checkpoint must be
+  // the same at any thread count, and equal to the values pinned here.
+  // The units are lmcbench's reduced paxos-explore and paxos-online ones.
+  struct Unit {
+    const char* name;
+    std::shared_ptr<SystemConfig> cfg;
+    std::vector<Blob> nodes;
+    std::vector<Message> in_flight;
+    LocalMcOptions opt;
+    std::uint64_t transitions, node_states, iplus, suppressed;
+    Hash64 ckpt;
+  };
+  auto paxos_cfg = [](std::set<NodeId> proposers, std::uint32_t max_proposals, bool fresh) {
+    paxos::DriverConfig d;
+    d.proposers = std::move(proposers);
+    d.max_proposals = max_proposals;
+    d.allow_fresh_index = fresh;
+    return std::make_shared<SystemConfig>(paxos::make_config(3, paxos::CoreOptions{}, d));
+  };
+  std::vector<Unit> units;
+  {
+    // paxos-1p: one proposal from the initial states, LMC-explore.
+    Unit u{"paxos-1p", paxos_cfg({0}, 1, false), {}, {}, {}, 1664, 243, 21, 1123,
+           0x34d1d404587b6998ULL};
+    u.nodes = initial_states(*u.cfg);
+    u.opt.enable_system_states = false;
+    u.opt.stop_on_confirmed = false;
+    units.push_back(std::move(u));
+  }
+  // period-1: a live snapshot with messages in flight (3 proposers, 30%
+  // drops, seed 1, taken at 30 s), LMC-OPT at depth 14 under a cap.
+  const std::shared_ptr<SystemConfig> live_cfg = paxos_cfg({0, 1, 2}, 3, true);
+  LiveOptions lo;
+  lo.seed = 1;
+  lo.transport.drop_prob = 0.3;
+  lo.app_min = 0.0;
+  lo.app_max = 60.0;
+  LiveRunner live(*live_cfg, lo, first_enabled_driver());
+  live.run_until(30.0);
+  {
+    Snapshot snap = live.snapshot();
+    Unit u{"period-1", paxos_cfg({0, 1, 2}, 4, false), std::move(snap.nodes),
+           std::move(snap.in_flight), {}, 5000, 739, 90, 3827, 0x24419379d8dcb20bULL};
+    u.opt.max_total_depth = 14;
+    u.opt.use_projection = true;
+    u.opt.max_transitions = 5000;
+    u.opt.stop_on_confirmed = false;
+    units.push_back(std::move(u));
+  }
+  auto inv = paxos::make_agreement_invariant();
+  for (const Unit& u : units) {
+    for (unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(u.name) + " threads=" + std::to_string(threads));
+      LocalMcOptions opt = u.opt;
+      opt.num_threads = threads;
+      LocalModelChecker mc(*u.cfg, inv.get(), opt);
+      mc.run(u.nodes, u.in_flight);
+      const LocalMcStats& s = mc.stats();
+      EXPECT_EQ(s.transitions, u.transitions);
+      EXPECT_EQ(s.node_states, u.node_states);
+      EXPECT_EQ(s.messages_in_iplus, u.iplus);
+      EXPECT_EQ(s.dup_msgs_suppressed, u.suppressed);
+      EXPECT_EQ(s.system_states, 0u);
+      EXPECT_EQ(hash_blob(dfuzz::normalized_checkpoint_bytes(mc.checkpoint_bytes())), u.ckpt);
+    }
   }
 }
 
