@@ -10,7 +10,6 @@
 #include "mc/parallel_local_mc.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
-#include "persist/exec_cache.hpp"
 #include "runtime/audit.hpp"
 
 namespace lmc {
@@ -466,82 +465,39 @@ void LocalModelChecker::digest(Exec& e, const NodeStateRec& pred) const {
 
 // A pool lane's body: run the handler(s) of one task against the store
 // and I+, which nothing writes while a chunk executes, and digest each
-// result outside its handler timing. With an exec cache attached the lane
-// probes with peek() and skips execution on a hit — the applier finalizes
-// the cached verdict authoritatively at apply time, so results never
-// depend on lane timing.
+// result outside its handler timing.
 std::vector<LocalModelChecker::Exec> LocalModelChecker::execute_task(const Task& t) {
   std::vector<Exec> out;
-  ExecCache* const cache = opt_.exec_cache;
   const bool timing = opt_.trace != nullptr || opt_.profile != nullptr;
   const NodeStateRec& rec = store_.rec(t.node, t.state_idx);
-  if (t.is_message) {
-    const MonotonicNetwork::Entry& e = std::as_const(net_).at(t.net_idx);
-    Exec ex;
-    ex.is_message = true;
-    ex.ev_hash = e.hash;
+  auto run = [&](Exec& ex, const Message* msg) {
     ex.node = t.node;
     ex.pred_idx = t.state_idx;
     const double tr0 = timing ? now_s() : 0.0;
-    if (cache != nullptr && cache->peek(e.hash, rec.hash)) {
-      ex.peek_hit = true;
-    } else {
-      execute_audited(ex, rec.blob, &e.msg);
-    }
+    execute_audited(ex, rec.blob, msg);
     if (timing) ex.exec_s = now_s() - tr0;
-    if (!ex.peek_hit) digest(ex, rec);
-    out.push_back(std::move(ex));
+    digest(ex, rec);
+  };
+  if (t.is_message) {
+    const MonotonicNetwork::Entry& e = std::as_const(net_).at(t.net_idx);
+    Exec& ex = out.emplace_back();
+    ex.is_message = true;
+    ex.ev_hash = e.hash;
+    run(ex, &e.msg);
   } else {
     for (const InternalEvent& ev : internal_events_of(cfg_, t.node, rec.blob)) {
-      Exec ex;
-      ex.is_message = false;
+      Exec& ex = out.emplace_back();
       ex.ev_hash = ev.hash(t.node);
-      ex.node = t.node;
-      ex.pred_idx = t.state_idx;
       ex.ev = ev;
-      const double tr0 = timing ? now_s() : 0.0;
-      if (cache != nullptr && cache->peek(ex.ev_hash, rec.hash)) {
-        ex.peek_hit = true;
-      } else {
-        execute_audited(ex, rec.blob, nullptr);
-      }
-      if (timing) ex.exec_s = now_s() - tr0;
-      if (!ex.peek_hit) digest(ex, rec);
-      out.push_back(std::move(ex));
+      run(ex, nullptr);
     }
   }
   return out;
 }
 
 void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
-  // Finalize the exec-cache verdict authoritatively on the applier, in
-  // publication order: within a run every (event, state) pair executes at
-  // most once (cursor discipline), so this lookup hits exactly when an
-  // EARLIER run inserted the pair — the same verdict a serial run computes.
-  // The lane's speculative peek() only decided whether to bother executing.
-  // A result produced here is digested here.
-  if (ExecCache* const cache = opt_.exec_cache; cache != nullptr) {
-    const NodeStateRec& pred0 = store_.rec(e.node, e.pred_idx);
-    ExecResult replay;
-    if (cache->lookup(e.ev_hash, pred0.hash, replay)) {
-      e.cached = true;
-      e.result = std::move(replay);
-      digest(e, pred0);
-    } else {
-      if (e.peek_hit) {
-        // The lane's peek saw the pair but a generation rotation evicted it
-        // before this apply: execute here (rare; still audited).
-        const double tr0 = opt_.trace != nullptr || opt_.profile != nullptr ? now_s() : 0.0;
-        execute_audited(e, pred0.blob, e.is_message ? net_.find(e.ev_hash) : nullptr);
-        if (opt_.trace != nullptr || opt_.profile != nullptr) e.exec_s = now_s() - tr0;
-        digest(e, pred0);
-      }
-      cache->insert(e.ev_hash, pred0.hash, e.result);
-    }
-  }
   LMC_TRACE(opt_.trace, record(tev(EventType::kHandlerRun, obs::Phase::kExplore, cur_round_,
-                                   e.is_message ? 1 : 0, e.ev_hash, e.cached ? 1 : 0,
-                                   e.exec_s, e.node, seq)));
+                                   e.is_message ? 1 : 0, e.ev_hash, 0, e.exec_s, e.node, seq)));
   // Per-rule cost attribution. All fields are computed from the Exec alone
   // (identity: a pure function of the exploration); exec_s is lane wall
   // time (attribution). hash_bytes counts the state bytes of every result
@@ -559,18 +515,13 @@ void LocalModelChecker::apply_exec(Exec& e, std::uint64_t seq) {
     std::uint64_t ser = e.result.state.size();
     for (const Message& m : e.result.sent) ser += m.payload.size();
     const std::uint64_t hash_bytes = discards(e.result) ? 0 : e.result.state.size();
-    psink->rule(rk, e.cached, ser, hash_bytes, e.exec_s);
+    psink->rule(rk, ser, hash_bytes, e.exec_s);
   }
-  // A cached replay is not a handler execution: it is exactly the work the
-  // warm start avoided. Everything downstream treats it identically.
-  if (e.cached)
-    ++stats_.warm_pairs_skipped;
-  else
-    ++stats_.transitions;
+  ++stats_.transitions;
   // outcome: 0 new state, 1 dedup/new path, 2 self-loop, 3 assert-discard.
   auto apply_ev = [&](std::uint64_t outcome) {
     LMC_TRACE(opt_.trace, record(tev(EventType::kHandlerApply, obs::Phase::kExplore, cur_round_,
-                                     e.cached ? 1 : 0, e.ev_hash, outcome, 0.0, e.node)));
+                                     0, e.ev_hash, outcome, 0.0, e.node)));
   };
   // addNextState (Fig. 9): register generated messages in I+ first — BEFORE
   // the local-assert policy can discard the successor state. The handler

@@ -51,8 +51,6 @@
 
 namespace lmc {
 
-class ExecCache;
-
 namespace obs {
 class TraceSink;
 class ProfileSink;
@@ -109,16 +107,6 @@ struct LocalMcOptions {
   double checkpoint_every_s = 0.0;
   std::string checkpoint_path;
 
-  /// Optional cross-run transition cache (persist/exec_cache.hpp). Handler
-  /// executions are memoized by (event hash, state hash): a pair any earlier
-  /// run already executed is replayed from the cache — counted in
-  /// stats.warm_pairs_skipped instead of stats.transitions — so restarts
-  /// from overlapping snapshots redo none of the handler work. Handlers are
-  /// deterministic, so the exploration ORDER is identical with or without
-  /// it; under a wall-clock budget a cached run simply gets further before
-  /// the cutoff (replays are cheaper than executions).
-  ExecCache* exec_cache = nullptr;
-
   /// Structured exploration tracing (obs/trace.hpp). nullptr (the default)
   /// disables tracing at near-zero cost: every call site is a null-pointer
   /// test, no event is allocated. The trace's identity content is a pure
@@ -143,11 +131,11 @@ struct LocalMcOptions {
   /// perturbs exploration results.
   obs::ProfileSink* profile = nullptr;
 
-  /// ModelValidityAuditor (runtime/audit.hpp): audit every non-cached
-  /// handler execution for determinism, round-trip identity and hidden
-  /// state. A failed audit throws ModelValidityError out of run*() — the
-  /// model is invalid, so exploration results would be meaningless. Roughly
-  /// doubles handler cost; a debug/CI knob, not a default.
+  /// ModelValidityAuditor (runtime/audit.hpp): audit every handler execution
+  /// for determinism, round-trip identity and hidden state. A failed audit
+  /// throws ModelValidityError out of run*() — the model is invalid, so
+  /// exploration results would be meaningless. Roughly doubles handler
+  /// cost; a debug/CI knob, not a default.
   bool audit_validity = false;
 
   SoundnessOptions soundness;
@@ -249,11 +237,6 @@ class LocalModelChecker {
   };
   struct Exec {
     bool is_message = false;
-    bool cached = false;  ///< result replayed from opt_.exec_cache, not executed
-    /// The executing lane's peek() saw the pair in the cache and skipped
-    /// execution; the applier fetches (or, if a rotation evicted it
-    /// meanwhile, re-executes) the result at apply time — see apply_exec.
-    bool peek_hit = false;
     Hash64 ev_hash = 0;
     NodeId node = 0;
     std::uint32_t pred_idx = 0;
@@ -274,10 +257,10 @@ class LocalModelChecker {
   std::vector<Exec> execute_task(const Task& t);
   /// Run e's handler on `state` (the message `msg`, or e.ev for an internal
   /// event) into e.result and, under audit_validity, audit it. Reads only
-  /// its arguments and the config: pool lanes call it too.
+  /// its arguments and the config, so pool lanes can run it.
   void execute_audited(Exec& e, const Blob& state, const Message* msg);
   /// Fill e.gen and e.state_hash from e.result and its predecessor record.
-  /// Reads only its arguments and the options: pool lanes call it too.
+  /// Reads only its arguments and the options, so pool lanes can run it.
   void digest(Exec& e, const NodeStateRec& pred) const;
   /// Whether the assert policy discards result r's successor state.
   bool discards(const ExecResult& r) const;

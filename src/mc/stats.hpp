@@ -76,7 +76,6 @@ struct LocalMcStats {
   std::uint64_t history_skips = 0;        ///< deliveries skipped via state history
   std::uint64_t local_assert_discards = 0;///< node states discarded on local assert
   std::uint64_t messages_in_iplus = 0;
-  std::uint64_t warm_pairs_skipped = 0;   ///< handler executions replayed from the ExecCache
   std::uint64_t checkpoints_written = 0;  ///< auto-checkpoints saved during the run
   std::uint64_t checkpoint_failures = 0;  ///< auto-checkpoint writes that failed (run continued)
   std::size_t stored_bytes = 0;           ///< LS + I+ footprint (Fig. 12)
@@ -123,7 +122,6 @@ void stat_table(F&& f, S&... s) {
   LMC_STAT(history_skips);
   LMC_STAT(local_assert_discards);
   LMC_STAT(messages_in_iplus);
-  LMC_STAT(warm_pairs_skipped);
   LMC_STAT(checkpoints_written);
   LMC_STAT(checkpoint_failures);
   LMC_STAT(stored_bytes);

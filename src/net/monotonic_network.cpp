@@ -22,11 +22,6 @@ MonotonicNetwork MonotonicNetwork::restore(std::vector<Entry> entries, std::uint
   return net;
 }
 
-const Message* MonotonicNetwork::find(Hash64 h) const {
-  const std::uint32_t i = index_.find(h);
-  return i == HashIndex::kNotFound ? nullptr : &entries_[i].msg;
-}
-
 std::vector<Hash64> MonotonicNetwork::all_hashes() const {
   std::vector<Hash64> v;
   v.reserve(entries_.size());

@@ -53,8 +53,6 @@ class MonotonicNetwork {
   const Entry& at(std::size_t i) const { return entries_[i]; }
 
   bool contains(Hash64 h) const { return index_.contains(h); }
-  const Message* find(Hash64 h) const;
-
   std::uint64_t suppressed() const { return suppressed_; }
 
   /// Hashes of every message ever added, in insertion order (the snapshot's

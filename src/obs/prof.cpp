@@ -84,17 +84,11 @@ bool RuleKey::operator<(const RuleKey& o) const {
   return std::tie(node, is_message, kind) < std::tie(o.node, o.is_message, o.kind);
 }
 
-void ProfileSink::rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
-                       std::uint64_t hash_bytes, double exec_s) {
+void ProfileSink::rule(const RuleKey& key, std::uint64_t ser_bytes, std::uint64_t hash_bytes,
+                       double exec_s) {
   RuleProf& r = rules_[key];
-  if (cached) {
-    ++r.cached;
-  } else {
-    ++r.runs;
-    // Only real executions feed the histogram: a cached replay has no
-    // handler wall time, and a zero-duration sample would distort bucket 0.
-    r.time.add(exec_s);
-  }
+  ++r.runs;
+  r.time.add(exec_s);
   r.ser_bytes += ser_bytes;
   r.hash_bytes += hash_bytes;
 }
@@ -117,7 +111,6 @@ std::string ProfileSink::identity_text() const {
     out += "rule " + std::to_string(key.node) + ' ' +
            (key.is_message != 0 ? std::string("msg") : std::string("int")) + ' ' +
            std::to_string(key.kind) + " runs=" + std::to_string(r.runs) +
-           " cached=" + std::to_string(r.cached) +
            " ser=" + std::to_string(r.ser_bytes) +
            " hash=" + std::to_string(r.hash_bytes) + '\n';
   }
@@ -138,7 +131,6 @@ std::string ProfileSink::to_jsonl() const {
     out += key.is_message != 0 ? "\"message\"" : "\"internal\"";
     out += ",\"event\":" + std::to_string(key.kind);
     out += ",\"runs\":" + std::to_string(r.runs);
-    out += ",\"cached\":" + std::to_string(r.cached);
     out += ",\"ser_bytes\":" + std::to_string(r.ser_bytes);
     out += ",\"hash_bytes\":" + std::to_string(r.hash_bytes);
     out += ",\"exec_s\":" + json_double(r.time.total_s);
@@ -215,7 +207,6 @@ bool merge_prof_line(const std::string& line, ProfileData& data) {
     ProfileData::Rule& r = data.rules[key];
     r.key = key;
     r.runs += get_u64(v, "runs");
-    r.cached += get_u64(v, "cached");
     r.ser_bytes += get_u64(v, "ser_bytes");
     r.hash_bytes += get_u64(v, "hash_bytes");
     r.exec_s += get_dbl(v, "exec_s");
@@ -279,8 +270,7 @@ bool validate_prof_value(const JsonValue& v, std::string* err) {
         (rk->str != "message" && rk->str != "internal")) {
       return fail("prof rule line needs \"rule\":\"message\"|\"internal\"");
     }
-    for (const char* key : {"node", "event", "runs", "cached", "ser_bytes",
-                            "hash_bytes", "exec_s"}) {
+    for (const char* key : {"node", "event", "runs", "ser_bytes", "hash_bytes", "exec_s"}) {
       if (!need_num(key)) {
         return fail(std::string("prof rule line missing \"") + key + "\"");
       }

@@ -56,11 +56,10 @@ struct RuleKey {
   bool operator<(const RuleKey& o) const;
 };
 
-/// Cost ledger of one handler rule. runs/cached/ser_bytes/hash_bytes are
+/// Cost ledger of one handler rule. runs/ser_bytes/hash_bytes are
 /// identity; `time` is attribution.
 struct RuleProf {
-  std::uint64_t runs = 0;        ///< uncached handler executions
-  std::uint64_t cached = 0;      ///< cached replays applied
+  std::uint64_t runs = 0;        ///< handler executions applied
   std::uint64_t ser_bytes = 0;   ///< result-state + sent-payload bytes
   std::uint64_t hash_bytes = 0;  ///< result-state bytes hashed
   TimeHist time;                 ///< handler wall time (attribution)
@@ -69,8 +68,8 @@ struct RuleProf {
 class ProfileSink {
  public:
   /// One applied handler execution of `key`.
-  void rule(const RuleKey& key, bool cached, std::uint64_t ser_bytes,
-            std::uint64_t hash_bytes, double exec_s);
+  void rule(const RuleKey& key, std::uint64_t ser_bytes, std::uint64_t hash_bytes,
+            double exec_s);
   /// Fold the stats of a finished run into the profile (merge_stats).
   void add_run(const LocalMcStats& stats, unsigned threads);
 
@@ -106,7 +105,7 @@ struct ProfileData {
 
   struct Rule {
     RuleKey key;
-    std::uint64_t runs = 0, cached = 0, ser_bytes = 0, hash_bytes = 0;
+    std::uint64_t runs = 0, ser_bytes = 0, hash_bytes = 0;
     double exec_s = 0.0;
     std::uint64_t samples = 0;
     std::vector<std::pair<std::uint32_t, std::uint64_t>> hist;  ///< (bucket, count)

@@ -90,21 +90,14 @@ ReportSummary summarize(const std::vector<TraceEvent>& events) {
       case EventType::kRoundEnd:
         break;
       case EventType::kHandlerRun: {
-        if (ev.c != 0)
-          ++s.exec_cached;
-        else
-          ++s.exec_uncached;
         s.handler_exec_s += ev.dur;
         auto& rule = s.rules[{ev.node, ev.a}];
         ++rule.runs;
-        if (ev.c != 0) ++rule.cached;
         rule.exec_s += ev.dur;
         break;
       }
       case EventType::kHandlerApply:
-        // a=1 marks a cached replay — those count as ExecCache hits in the
-        // checker (warm_pairs_skipped), never as transitions.
-        if (ev.a == 0) ++s.transitions;
+        ++s.transitions;
         break;
       case EventType::kStateInsert:
         ++s.state_inserts;
@@ -179,10 +172,6 @@ void print_report(const ReportSummary& s, std::FILE* out) {
                " confirmed violation(s)\n",
                s.transitions, s.state_inserts, s.iplus_appends, s.combinations,
                s.prelim_violations, s.confirmed);
-  const std::uint64_t lookups = s.exec_cached + s.exec_uncached;
-  if (lookups > 0)
-    std::fprintf(out, "ExecCache: %" PRIu64 "/%" PRIu64 " hit (%.1f%%)\n", s.exec_cached,
-                 lookups, 100.0 * static_cast<double>(s.exec_cached) / static_cast<double>(lookups));
   std::fprintf(out, "soundness: %" PRIu64 " job(s): %" PRIu64 " sound, %" PRIu64
                " unsound, %" PRIu64 " deferred, %" PRIu64 " feas-skip, %" PRIu64
                " skipped; %" PRIu64 " schedule(s)\n",
@@ -213,10 +202,8 @@ void print_report(const ReportSummary& s, std::FILE* out) {
   if (!s.rules.empty()) {
     std::fprintf(out, "per-rule (node, kind):\n");
     for (const auto& [key, line] : s.rules)
-      std::fprintf(out, "  node %3u %-8s %8" PRIu64 " run(s) %8" PRIu64
-                   " cached %10.4fs\n",
-                   key.first, key.second != 0 ? "message" : "internal", line.runs, line.cached,
-                   line.exec_s);
+      std::fprintf(out, "  node %3u %-8s %8" PRIu64 " run(s) %10.4fs\n", key.first,
+                   key.second != 0 ? "message" : "internal", line.runs, line.exec_s);
   }
   if (!s.lanes.empty()) {
     std::fprintf(out, "per-worker lane (0 = deterministic thread):\n");
@@ -239,8 +226,6 @@ std::string report_bench_json(const ReportSummary& s, const std::string& case_la
   rec.metric("confirmed_violations", s.confirmed);
   rec.metric("soundness_jobs", s.soundness_jobs);
   rec.metric("soundness_deferred", s.deferrals);
-  rec.metric("exec_cache_hits", s.exec_cached);
-  rec.metric("exec_cache_misses", s.exec_uncached);
   rec.metric("worker_errors", s.worker_errors);
   rec.metric("worker_exceptions_dropped", s.worker_exceptions_dropped);
   if (s.por_active) {
@@ -311,20 +296,18 @@ void print_profile_report(const ProfileData& prof, std::size_t top_k, std::FILE*
     std::fprintf(out,
                  "hottest rules (top %zu of %zu by handler wall; %% of explore wall):\n",
                  hot.size(), prof.rules.size());
-    std::fprintf(out, "  %-26s %9s %9s %12s %7s %9s %9s\n", "rule", "runs", "cached", "exec_s",
-                 "%expl", "ser B/tr", "hash B/tr");
+    std::fprintf(out, "  %-26s %9s %12s %7s %9s %9s\n", "rule", "runs", "exec_s", "%expl",
+                 "ser B/tr", "hash B/tr");
     for (const ProfileData::Rule* r : hot) {
       char label[64];
       std::snprintf(label, sizeof label, "node %u %s kind %u", r->key.node,
                     r->key.is_message != 0 ? "msg" : "int", r->key.kind);
-      const std::uint64_t applied = r->runs + r->cached;
       const double pct = ph.explore_s > 0.0 ? 100.0 * r->exec_s / ph.explore_s : 0.0;
-      const double ser_per =
-          applied > 0 ? static_cast<double>(r->ser_bytes) / static_cast<double>(applied) : 0.0;
-      const double hash_per =
-          applied > 0 ? static_cast<double>(r->hash_bytes) / static_cast<double>(applied) : 0.0;
-      std::fprintf(out, "  %-26s %9" PRIu64 " %9" PRIu64 " %12.6f %6.1f%% %9.1f %9.1f\n", label,
-                   r->runs, r->cached, r->exec_s, pct, ser_per, hash_per);
+      const double runs = static_cast<double>(r->runs);
+      const double ser_per = r->runs > 0 ? static_cast<double>(r->ser_bytes) / runs : 0.0;
+      const double hash_per = r->runs > 0 ? static_cast<double>(r->hash_bytes) / runs : 0.0;
+      std::fprintf(out, "  %-26s %9" PRIu64 " %12.6f %6.1f%% %9.1f %9.1f\n", label, r->runs,
+                   r->exec_s, pct, ser_per, hash_per);
     }
   }
 }

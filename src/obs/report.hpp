@@ -27,7 +27,7 @@ struct ReportSummary {
   std::uint64_t events = 0;
 
   // Counters (reproduce LocalMcStats counter-exactly for full-run traces).
-  std::uint64_t transitions = 0;        ///< kHandlerApply events applied (outcome != skip)
+  std::uint64_t transitions = 0;        ///< kHandlerApply events
   std::uint64_t state_inserts = 0;      ///< kStateInsert events
   std::uint64_t iplus_appends = 0;      ///< kIplusAppend events
   std::uint64_t combinations = 0;       ///< sum of kComboSweep b
@@ -37,8 +37,6 @@ struct ReportSummary {
   std::uint64_t schedules = 0;          ///< sum of kSoundnessVerdict b
   std::uint64_t deferrals = 0;          ///< verdicts[kVerdictDefer]
   std::uint64_t checkpoints = 0;        ///< kCheckpointSave events with a=ok
-  std::uint64_t exec_cached = 0;        ///< kHandlerRun events with c=1
-  std::uint64_t exec_uncached = 0;      ///< kHandlerRun events with c=0
   std::uint64_t worker_errors = 0;      ///< kWorkerError events
   std::uint64_t worker_exceptions_dropped = 0;  ///< sum of kWorkerError a
   bool por_active = false;              ///< any kPorResolve seen
@@ -65,7 +63,6 @@ struct ReportSummary {
 
   struct RuleLine {
     std::uint64_t runs = 0;
-    std::uint64_t cached = 0;
     double exec_s = 0.0;
   };
   /// Per-rule: key = (node, is_message). Internal-event rules are (node, 0).

@@ -50,8 +50,8 @@ enum class EventType : std::uint8_t {
   kRunEnd = 1,           ///< a=transitions, b=confirmed, c=completed; dur=elapsed_s (cumulative)
   kRoundBegin = 2,       ///< a=tasks collected
   kRoundEnd = 3,         ///< a=tasks, b=total node states, c=I+ size; dur=round wall s
-  kHandlerRun = 4,       ///< worker: a=is_message, b=ev_hash, c=cached; dur=exec s; seq=task idx
-  kHandlerApply = 5,     ///< apply: a=cached, b=ev_hash, c=outcome (0 new, 1 dedup, 2 self-loop, 3 assert-discard)
+  kHandlerRun = 4,       ///< worker: a=is_message, b=ev_hash, c=0 (retired); dur=exec s; seq=task idx
+  kHandlerApply = 5,     ///< apply: a=0 (retired), b=ev_hash, c=outcome (0 new, 1 dedup, 2 self-loop, 3 assert-discard)
   kStateInsert = 6,      ///< a=state idx, b=state hash, c=chain depth
   kIplusAppend = 7,      ///< a=msg hash, b=I+ size after; node=dst
   kComboSweep = 8,       ///< a=site (0 apply, 2 snapshot; 1 retired), b=combos checked, c=prelims; dur=sweep+verify wall s

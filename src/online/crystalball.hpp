@@ -4,7 +4,6 @@
 // explosion for a few seconds per period — exactly the regime LMC targets.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <limits>
 
@@ -18,22 +17,13 @@ struct CrystalBallPeriod {
   int index = 0;             ///< 0-based checker run number
   double live_time = 0.0;    ///< simulated time of this period's snapshot
   bool found = false;        ///< a confirmed violation surfaced this period
-  std::uint64_t transitions = 0;  ///< handler executions THIS period
-  double checker_s = 0.0;         ///< checker wall time THIS period
-  LocalMcStats stats;             ///< this period's checker stats
+  LocalMcStats stats;        ///< this period's checker stats
 };
 
 struct CrystalBallOptions {
   double period = 60.0;          ///< live seconds between checker runs (§5.5)
   double max_live_time = 3600.0; ///< give up after this much simulated time
-  /// Warm start: share one transition cache (persist/exec_cache.hpp) across
-  /// the per-period checker runs, so handler executions earlier periods
-  /// already performed are replayed instead of re-run. Exploration stays
-  /// identical to cold restarts — same bugs at the same periods — with
-  /// strictly fewer handler executions whenever consecutive snapshots'
-  /// closures overlap; see bench/bench_warm_online.cpp.
-  bool warm_start = false;
-  /// Observation hook, called after every checker period (cold or warm).
+  /// Observation hook, called after every checker period.
   std::function<void(const CrystalBallPeriod&)> on_period;
   LocalMcOptions mc;             ///< per-run checker configuration
 };
@@ -43,8 +33,6 @@ struct CrystalBallResult {
   double live_time = 0.0;          ///< simulated time at the detecting snapshot
   double checker_elapsed_s = 0.0;  ///< wall time of the detecting checker run
   int runs = 0;                    ///< checker runs performed
-  std::uint64_t total_transitions = 0;  ///< handler executions across all runs
-  std::uint64_t total_cache_hits = 0;   ///< executions replayed from the warm cache
   LocalViolation violation;        ///< the confirmed violation (if found)
   Snapshot snapshot;               ///< the snapshot the witness starts from
   EventTable events;               ///< event table for witness replay (if found)
@@ -58,13 +46,9 @@ class CrystalBall {
       : cfg_(cfg), invariant_(invariant), live_(live), opt_(opt) {}
 
   /// Alternate live execution and checker runs until a confirmed violation
-  /// is found or max_live_time passes.
+  /// is found or max_live_time passes. Each period restarts a fresh checker
+  /// from the current live snapshot.
   CrystalBallResult run();
-
- private:
-  CrystalBallResult run_cold();
-  CrystalBallResult run_warm();
-  CrystalBallResult run_periods(ExecCache* cache);
 
  private:
   const SystemConfig& cfg_;

@@ -545,7 +545,7 @@ CheckpointReader::CheckpointReader(const Blob& data) : data_(&data) {
 
   std::size_t off = kHeaderLen;
   for (std::uint32_t i = 0; i < n_sections; ++i) {
-    check(r.remaining() >= kSectionHeaderLen, "section table truncated");
+    check(r.remaining() >= kSectionHeaderLen, "section header truncated");
     Section s;
     s.id = r.u32();
     r.u32();  // reserved

@@ -40,7 +40,7 @@ class CheckpointError : public std::runtime_error {
 inline constexpr char kCheckpointMagic[8] = {'L', 'M', 'C', 'C', 'K', 'P', 'T', '\n'};
 // Writers emit this version and readers accept only this version (layout and
 // history in persist/FORMAT.md).
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 /// Section ids of the container format. Ids are stable across versions;
 /// readers skip ids they do not know.
@@ -77,7 +77,7 @@ class CheckpointWriter {
   std::vector<std::pair<std::uint32_t, Blob>> sections_;
 };
 
-/// Validates the container (magic, version, checksum, section table) and
+/// Validates the container (magic, version, checksum, section headers) and
 /// hands out per-section Readers. Holds a pointer into the caller's blob —
 /// the blob must outlive the reader.
 class CheckpointReader {

@@ -1,5 +1,5 @@
 // Checkpoint tooling:
-//   lmc_ckpt inspect  <file>      header, section table, every stat
+//   lmc_ckpt inspect  <file>      header, section list, every stat
 //   lmc_ckpt inspect --json <file>  one "lmc-bench/1" record of the header
 //                                 and stats counters
 //   lmc_ckpt validate <file>      full structural decode; exit 0 iff valid

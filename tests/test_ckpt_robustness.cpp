@@ -84,7 +84,7 @@ TEST(CkptRobustness, EmptyAndTinyBlobsRejected) {
 TEST(CkptRobustness, EveryTruncationRejected) {
   Blob data = sample_checkpoint();
   // All short lengths exhaustively, then strided through the middle, then
-  // every length near the tail (where the checksum and section table live).
+  // every length near the tail (where the last payload and the checksum live).
   auto check = [&](std::size_t len) {
     Blob cut(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW(decode_checkpoint(cut), CheckpointError) << "truncated to " << len;

@@ -101,16 +101,6 @@ TEST(MonotonicNetwork, RestoreRebuildsIndexAndCursors) {
   EXPECT_EQ(net.suppressed(), 2u);
 }
 
-TEST(MonotonicNetwork, FindByHash) {
-  MonotonicNetwork net;
-  Message m = mk(2, 1, 9, {42});
-  add(net, m);
-  const Message* found = net.find(m.hash());
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(*found, m);
-  EXPECT_EQ(net.find(12345), nullptr);
-}
-
 TEST(MonotonicNetwork, AllHashesInsertionOrder) {
   MonotonicNetwork net;
   Message a = mk(1, 0, 1), b = mk(2, 0, 2);

@@ -342,10 +342,10 @@ TEST(ObsProf, LmcProfMacroDoesNotEvaluateArgsWhenOff) {
   };
   const obs::RuleKey key{0, 1, 0};
   obs::ProfileSink* off = nullptr;
-  LMC_PROF(off, rule(key, /*cached=*/false, delta(), 0, 0.0));
+  LMC_PROF(off, rule(key, delta(), 0, 0.0));
   EXPECT_EQ(evaluated, 0);
   obs::ProfileSink on;
-  LMC_PROF(&on, rule(key, /*cached=*/false, delta(), 0, 0.0));
+  LMC_PROF(&on, rule(key, delta(), 0, 0.0));
   EXPECT_EQ(evaluated, 1);
   ASSERT_EQ(on.rules().size(), 1u);
   EXPECT_EQ(on.rules().at(key).ser_bytes, 1u);
@@ -384,8 +384,8 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   sink.add_run(run1, 4);
   sink.add_run(run2, 1);
   const obs::RuleKey key{2, 1, 9};
-  sink.rule(key, /*cached=*/false, /*ser_bytes=*/64, /*hash_bytes=*/32, /*exec_s=*/1e-6);
-  sink.rule(key, /*cached=*/true, /*ser_bytes=*/64, /*hash_bytes=*/0, /*exec_s=*/0.0);
+  sink.rule(key, /*ser_bytes=*/64, /*hash_bytes=*/32, /*exec_s=*/1e-6);
+  sink.rule(key, /*ser_bytes=*/64, /*hash_bytes=*/0, /*exec_s=*/0.0);
 
   const std::string jsonl = sink.to_jsonl();
   obs::ProfileData data;
@@ -412,11 +412,10 @@ TEST(ObsProf, JsonlRoundTripValidatesAndMergesExactly) {
   ASSERT_EQ(data.rules.size(), 1u);
   const obs::ProfileData::Rule& r = data.rules.begin()->second;
   EXPECT_EQ(r.key, key);
-  EXPECT_EQ(r.runs, 1u);
-  EXPECT_EQ(r.cached, 1u);
+  EXPECT_EQ(r.runs, 2u);
   EXPECT_EQ(r.ser_bytes, 128u);
   EXPECT_EQ(r.hash_bytes, 32u);
-  EXPECT_EQ(r.samples, 1u);  // only the uncached execution is timed
+  EXPECT_EQ(r.samples, 2u);  // every execution is timed
 
   // Non-prof lines are tolerated (mixed files); malformed prof lines fail
   // schema validation.

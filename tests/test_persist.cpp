@@ -18,7 +18,6 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "persist/checkpoint.hpp"
-#include "persist/exec_cache.hpp"
 #include "protocols/paxos.hpp"
 #include "runtime/hash.hpp"
 
@@ -542,177 +541,6 @@ TEST(Persist, ResumedTraceContinuesSegmentAndRounds) {
   EXPECT_EQ(sum.final_transitions, c.stats().transitions);
   EXPECT_EQ(sum.transitions, c.stats().transitions);
   EXPECT_EQ(sum.confirmed, c.stats().confirmed_violations);
-}
-
-TEST(Persist, ExecCacheReplaysIdenticalExploration) {
-  // A second run of the SAME search with a shared cache must perform ZERO
-  // handler executions — every one replays from the cache — and still build
-  // the identical exploration (stores, I+, violations).
-  SystemConfig cfg = counter_cfg(3, 3);
-  PingLimitInvariant inv(6);
-  LocalMcOptions opt;
-  opt.stop_on_confirmed = false;
-
-  ExecCache cache;
-  opt.exec_cache = &cache;
-  LocalModelChecker first(cfg, &inv, opt);
-  first.run_from_initial();
-  ASSERT_GT(first.stats().transitions, 0u);
-  EXPECT_EQ(first.stats().warm_pairs_skipped, 0u) << "first run: nothing to replay";
-  EXPECT_EQ(cache.size(), first.stats().transitions);
-
-  LocalModelChecker second(cfg, &inv, opt);
-  second.run_from_initial();
-  EXPECT_EQ(second.stats().transitions, 0u) << "every handler execution must be a cache hit";
-  EXPECT_EQ(second.stats().warm_pairs_skipped, first.stats().transitions);
-
-  Fingerprint fa = fingerprint(first, cfg.num_nodes);
-  Fingerprint fb = fingerprint(second, cfg.num_nodes);
-  fb.transitions = fa.transitions;  // by design: replays are not executions
-  expect_equal(fa, fb);
-
-  // Cached and uncached exploration build the identical search (only the
-  // wall-clock stats fields can differ between separate runs).
-  LocalMcOptions plain = opt;
-  plain.exec_cache = nullptr;
-  LocalModelChecker bare(cfg, &inv, plain);
-  bare.run_from_initial();
-  expect_equal(fa, fingerprint(bare, cfg.num_nodes));
-}
-
-TEST(Persist, ExecCacheRotationIsThreadCountInvariant) {
-  // A cache half the size of the search, pre-warmed by the smaller
-  // max_inc = 2 search, whose pairs are scattered through the max_inc = 3
-  // one. The second run replays the pairs the cache kept, executes the
-  // rest, and inserts and rotates as it goes. At 4 threads the workers
-  // peek() while the applier inserts and rotates, so some peek hits are
-  // evicted before their consume and re-executed by the applier. None of
-  // that may change the run: executions, replays and the exploration equal
-  // the 1-thread run's.
-  SystemConfig cfg = counter_cfg(3, 3);
-  SystemConfig smaller = counter_cfg(3, 2);
-  PingLimitInvariant inv(6);
-  LocalMcOptions opt;
-  opt.stop_on_confirmed = false;
-
-  LocalModelChecker cold(cfg, &inv, opt);
-  cold.run_from_initial();
-  const std::uint64_t pairs = cold.stats().transitions;
-  ASSERT_GT(pairs, 16u);
-
-  struct WarmRun {
-    std::uint64_t transitions = 0;
-    std::uint64_t replays = 0;
-    Fingerprint fp;
-  };
-  auto warm_run = [&](std::uint32_t threads) {
-    ExecCache cache(pairs / 2);
-    LocalMcOptions o = opt;
-    o.exec_cache = &cache;
-    LocalModelChecker prewarm(smaller, &inv, o);
-    prewarm.run_from_initial();
-    o.num_threads = threads;
-    LocalModelChecker mc(cfg, &inv, o);
-    mc.run_from_initial();
-    return WarmRun{mc.stats().transitions, mc.stats().warm_pairs_skipped,
-                   fingerprint(mc, cfg.num_nodes)};
-  };
-  const WarmRun one = warm_run(1);
-  EXPECT_GT(one.replays, 0u) << "the pre-warmed cache must serve some pairs";
-  EXPECT_GT(one.transitions, pairs / 4) << "and miss enough of them to rotate";
-  EXPECT_EQ(one.transitions + one.replays, pairs) << "every pair runs once: executed or replayed";
-
-  const WarmRun four = warm_run(4);
-  EXPECT_EQ(four.transitions, one.transitions);
-  EXPECT_EQ(four.replays, one.replays);
-  expect_equal(one.fp, four.fp);
-}
-
-TEST(Persist, ExecCacheFileRoundTripAndRejectsCorruption) {
-  SystemConfig cfg = counter_cfg(2, 2);
-  PingLimitInvariant inv(100);
-  LocalMcOptions opt;
-  ExecCache cache;
-  opt.exec_cache = &cache;
-  LocalModelChecker mc(cfg, &inv, opt);
-  mc.run_from_initial();
-  ASSERT_GT(cache.size(), 0u);
-
-  const Blob b = cache.encode();
-  ExecCache loaded;
-  loaded.decode(b);
-  EXPECT_EQ(loaded.size(), cache.size());
-  EXPECT_EQ(loaded.encode(), b) << "canonical form: decode -> encode is identity";
-
-  // A warm run against the loaded cache replays everything.
-  LocalMcOptions opt2;
-  opt2.exec_cache = &loaded;
-  LocalModelChecker mc2(cfg, &inv, opt2);
-  mc2.run_from_initial();
-  EXPECT_EQ(mc2.stats().transitions, 0u);
-
-  const std::string path = temp_path("warm.lmcexec");
-  cache.save(path);
-  ExecCache from_file;
-  from_file.load(path);
-  EXPECT_EQ(from_file.encode(), b);
-
-  EXPECT_THROW(ExecCache().decode(Blob{}), CheckpointError);
-  Blob bad_magic = b;
-  bad_magic[0] ^= 0xff;
-  EXPECT_THROW(ExecCache().decode(bad_magic), CheckpointError);
-  Blob truncated(b.begin(), b.end() - 5);
-  EXPECT_THROW(ExecCache().decode(truncated), CheckpointError);
-  Blob flipped = b;
-  flipped[flipped.size() / 2] ^= 0x10;
-  EXPECT_THROW(ExecCache().decode(flipped), CheckpointError);
-}
-
-TEST(Persist, ExecCacheEvictsOldestGenerationFirst) {
-  // Bounded memoization must favor RECENT entries: a budget-truncated period
-  // inserts far more pairs than the cap, and the next period's reuse comes
-  // from the newest ones. The cache rotates generations of half the cap —
-  // the newest half-cap of inserts always survives; lookups never evict.
-  auto res_tagged = [](std::uint8_t tag) {
-    ExecResult r;
-    r.state = Blob{tag};
-    return r;
-  };
-  auto has = [](const ExecCache& c, std::uint64_t i) {
-    ExecResult out;
-    return c.lookup(i, 100 + i, out);
-  };
-
-  ExecCache cache(8);  // generation size: 4
-  for (std::uint64_t i = 1; i <= 8; ++i) cache.insert(i, 100 + i, res_tagged(std::uint8_t(i)));
-  EXPECT_EQ(cache.size(), 8u);
-  for (std::uint64_t i = 1; i <= 8; ++i) EXPECT_TRUE(has(cache, i)) << "key " << i;
-  for (std::uint64_t i = 1; i <= 8; ++i) EXPECT_TRUE(has(cache, i)) << "key " << i << " again";
-
-  // Ninth insert rotates: the oldest generation {1..4} is dropped, however
-  // recently its entries were hit.
-  cache.insert(9, 109, res_tagged(9));
-  for (std::uint64_t i = 1; i <= 4; ++i) EXPECT_FALSE(has(cache, i)) << "key " << i;
-  for (std::uint64_t i = 5; i <= 9; ++i) EXPECT_TRUE(has(cache, i)) << "key " << i;
-  ExecResult out;
-  ASSERT_TRUE(cache.lookup(5, 105, out));
-  EXPECT_EQ(out.state, Blob{5});
-
-  // {5..8} live in the old generation now; they survive until young fills
-  // again, then age out together.
-  for (std::uint64_t i = 10; i <= 12; ++i) cache.insert(i, 100 + i, res_tagged(std::uint8_t(i)));
-  EXPECT_TRUE(has(cache, 5));
-  cache.insert(13, 113, res_tagged(13));  // rotation: {5..8} dropped
-  EXPECT_FALSE(has(cache, 5));
-  for (std::uint64_t i = 9; i <= 13; ++i) EXPECT_TRUE(has(cache, i)) << "key " << i;
-
-  // Re-inserting a key that is still present (in either generation) is a
-  // no-op — no duplicates across generations.
-  const std::size_t before = cache.size();
-  cache.insert(9, 109, res_tagged(99));
-  EXPECT_EQ(cache.size(), before);
-  ASSERT_TRUE(cache.lookup(9, 109, out));
-  EXPECT_EQ(out.state, Blob{9}) << "first insert wins";
 }
 
 }  // namespace
